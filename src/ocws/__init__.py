@@ -5,128 +5,20 @@ built from a graph state, Z-type word operators and gauge qubits, plus an
 independent dense state-vector oracle for small instances.
 """
 
-from .pauli import (
-    PauliOperator,
-    identity,
-    parse_pauli,
-    format_pauli,
-    multiply,
-    commutes,
-    weight,
-    parse_bits,
-    format_bits,
-    parse_zstring,
-    format_zstring,
-)
-from .graph import (
-    Graph,
-    ring_graph,
-    from_adjacency,
-    stabilizer_generator,
-    edges,
-    adjacency_lines,
-)
-from .code import (
-    OcwsCode,
-    GaugeGroup,
-    CodeFileError,
-    new_code,
-    gauge_generators,
-    in_gauge_group,
-    gauge_decomposition,
-    parse_code_file,
-    write_code_file,
-)
-from .induction import (
-    InducedError,
-    induce,
-    gauge_reduce,
-    paulis_of_weight,
-    enumerate_paulis,
-    induced_error_set,
-)
-from .verify import (
-    DetectionFailure,
-    DetectionReport,
-    detects,
-    detects_set,
-    corrects_weight,
-    certify_distance,
-    classical_route_corrects,
-)
-from .search import (
-    SearchError,
-    SearchConfig,
-    candidate_words,
-    compatible,
-    forbidden_differences,
-    CompatibilityGraph,
-    find_max_clique,
-    search_code,
-)
-from .oracle import (
-    DenseState,
-    OqecCheckReport,
-    build_graph_state,
-    apply_pauli,
-    codeword_basis,
-    oqec_check,
-)
+# Dependency order: each module imports only those above it.
+from .pauli import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .code import *  # noqa: F401,F403
+from .induction import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
+from .search import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from . import code, graph, induction, oracle, pauli, search, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PauliOperator",
-    "identity",
-    "parse_pauli",
-    "format_pauli",
-    "multiply",
-    "commutes",
-    "weight",
-    "parse_bits",
-    "format_bits",
-    "parse_zstring",
-    "format_zstring",
-    "Graph",
-    "ring_graph",
-    "from_adjacency",
-    "stabilizer_generator",
-    "edges",
-    "adjacency_lines",
-    "OcwsCode",
-    "GaugeGroup",
-    "CodeFileError",
-    "new_code",
-    "gauge_generators",
-    "in_gauge_group",
-    "gauge_decomposition",
-    "parse_code_file",
-    "write_code_file",
-    "InducedError",
-    "induce",
-    "gauge_reduce",
-    "paulis_of_weight",
-    "enumerate_paulis",
-    "induced_error_set",
-    "DetectionFailure",
-    "DetectionReport",
-    "detects",
-    "detects_set",
-    "corrects_weight",
-    "certify_distance",
-    "classical_route_corrects",
-    "SearchError",
-    "SearchConfig",
-    "candidate_words",
-    "compatible",
-    "forbidden_differences",
-    "CompatibilityGraph",
-    "find_max_clique",
-    "search_code",
-    "DenseState",
-    "OqecCheckReport",
-    "build_graph_state",
-    "apply_pauli",
-    "codeword_basis",
-    "oqec_check",
+    name
+    for module in (pauli, graph, code, induction, verify, search, oracle)
+    for name in module.__all__
 ]

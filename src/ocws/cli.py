@@ -9,17 +9,20 @@ Output is byte-identical across runs for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .code import CodeFileError, OcwsCode, parse_code_file, write_code_file
 from .graph import Graph, from_adjacency, ring_graph
-from .induction import enumerate_paulis, gauge_reduce, induce, induced_error_set
+from .induction import enumerate_paulis, gauge_reduce, induce
 from .oracle import oqec_check
-from .pauli import commutes, format_pauli, format_zstring
+from .pauli import format_pauli, format_zstring
 from .search import SearchConfig, SearchError, search_code
-from .verify import certify_distance, corrects_weight, detects_set
+from .verify import analyze
+
+# Bound only for perfbench/spans.py, which wraps these names in this module.
+from .induction import induced_error_set  # noqa: F401
+from .verify import certify_distance, corrects_weight, detects_set  # noqa: F401
 
 __all__ = ["main"]
 
@@ -37,12 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("text", "lines"),
             default="text",
             help="text adds '#' comment lines; lines is strictly machine output",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker parallelism cap (kernels currently run single-process)",
         )
 
     p_verify = sub.add_parser("verify", help="check a code file against a distance")
@@ -115,26 +112,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     raise ValueError(f"--graph must be 'ring' or 'file:<path>', got {kind!r}")
 
 
-def _print_witness(code: OcwsCode, distance: int) -> None:
-    sweep = enumerate_paulis(code.n, min(max(distance - 1, 1), code.n))
-    report = detects_set(code, sweep)
-    if report.failures:
-        f = report.failures[0]
-        print(
-            f"WITNESS error={format_pauli(f.error)} "
-            f"words=({f.word_i},{f.word_j}) product={f.decomposition}"
-        )
-        return
-    t = min((distance - 1) // 2, code.n)
-    for e in enumerate_paulis(code.n, max(t, 0)):
-        if gauge_reduce(code, induce(code, e)) != 0:
-            continue
-        for l in range(code.K):
-            if not commutes(e, code.word_operator(l)):
-                print(f"WITNESS degenerate error={format_pauli(e)} word={l + 1}")
-                return
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
     distance = args.distance
@@ -143,11 +120,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if distance < 1:
         raise ValueError(f"distance {distance} must be >= 1")
     _comment(args, f"verify {args.codefile} against distance {distance}")
-    certified = certify_distance(code)
-    ok = certified >= distance and corrects_weight(code, (distance - 1) // 2)
-    if not ok:
-        _print_witness(code, distance)
-    print(f"VERDICT {'pass' if ok else 'fail'} n={code.n} K={code.K} r={code.r} d={certified}")
+    a = analyze(code, (distance - 1) // 2)
+    ok = a.distance >= distance and a.degenerate is None
+    if a.failure is not None and a.distance < distance:
+        f = a.failure
+        print(
+            f"WITNESS error={format_pauli(f.error)} "
+            f"words=({f.word_i},{f.word_j}) product={f.decomposition}"
+        )
+    elif a.degenerate is not None:
+        g = a.degenerate
+        print(f"WITNESS degenerate error={format_pauli(g.error)} word={g.word}")
+    print(f"VERDICT {'pass' if ok else 'fail'} n={code.n} K={code.K} r={code.r} d={a.distance}")
     return 0 if ok else 1
 
 
@@ -156,15 +140,16 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     if not 1 <= args.weight <= code.n:
         raise ValueError(f"--weight {args.weight} out of range for n={code.n}")
     _comment(args, f"induce {args.codefile}: errors of weight <= {args.weight}")
+    classes = set()
     for e in enumerate_paulis(code.n, args.weight):
         raw = induce(code, e)
         reduced = gauge_reduce(code, raw)
+        classes.add(reduced)
         print(
             f"CLASS {format_pauli(e)} -> {format_zstring(raw, code.n)} "
             f"-> {format_zstring(reduced, code.n)}"
         )
-    count = len(induced_error_set(code, args.weight))
-    _comment(args, f"{count} distinct reduced classes")
+    _comment(args, f"{len(classes)} distinct reduced classes")
     return 0
 
 
@@ -212,9 +197,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.threads is not None and args.threads < 1:
-        print(f"error: --threads {args.threads} must be >= 1", file=sys.stderr)
-        return 2
     handlers = {
         "verify": _cmd_verify,
         "induce": _cmd_induce,

@@ -1,11 +1,16 @@
 """Word-set search: maximum-clique discovery of classical codes on a graph.
 
-Candidate words are the Z bit-vectors supported on the non-gauge qubits.
-Two candidates can coexist in a code of target distance d exactly when
-their XOR difference avoids every gauge-reduced induced error of weight
-<= d - 1, so the compatibility graph is a Cayley graph over GF(2)^s and a
-maximum clique is a maximum-size word set.  Every found code is re-checked
-by the verifier before it is returned.
+Candidate words are the Z bit-vectors supported on the non-gauge qubits
+that have even overlap with the word-block X support of every degenerate
+error of weight <= t = (d - 1) // 2.  Those words form the parity kernel,
+a k-dimensional subspace of GF(2)^s.  Two candidates can coexist in a
+code of target distance d exactly when their XOR difference avoids every
+gauge-reduced induced error of weight <= d - 1.  In the coordinates of a
+fully reduced echelon basis of the kernel, the compatibility graph is
+therefore a Cayley graph over GF(2)^k, and a maximum clique is a
+maximum-size word set.  The coordinate map preserves order, so the
+lexicographically least clique maps to the least word set.  Every found
+code is re-checked by one verifier sweep before it is returned.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .code import OcwsCode, new_code
+from .code import OcwsCode, _GF2Basis, new_code
 from .graph import Graph
-from .induction import enumerate_paulis, gauge_reduce, induce, induced_error_set
-from .verify import certify_distance, corrects_weight
+from .induction import enumerate_paulis, induced_error_set
+# certify_distance and corrects_weight stay bound here for perfbench/spans.py
+from .verify import _parity_mask, analyze, certify_distance, corrects_weight  # noqa: F401
 
 __all__ = [
     "SearchError",
@@ -74,10 +80,7 @@ class SearchConfig:
 
 def candidate_words(config: SearchConfig) -> range:
     """All 2^s words supported on the non-gauge qubits, zero first, ascending."""
-    s = config.s
-    if config.mode == "exact" and s > 24:
-        raise ValueError(f"s={s} too large for exact mode (limit 24)")
-    return range(1 << s)
+    return range(1 << config.s)
 
 
 def compatible(code_skeleton: OcwsCode, c_i: int, c_j: int, error_sweep) -> bool:
@@ -115,40 +118,25 @@ def forbidden_differences(code_skeleton: OcwsCode, max_error_weight: int) -> fro
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """Graph on candidate words; edges join pairs with an allowed difference."""
+    """Cayley graph on range(2^k); edges join pairs with an allowed difference.
 
-    candidates: tuple[int, ...] | range
+    The graph is vertex-transitive, with every neighborhood an XOR
+    translate of the neighborhood of 0.
+    """
+
+    candidates: range
     forbidden: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.candidates, range):
-            object.__setattr__(self, "candidates", tuple(self.candidates))
-            if len(set(self.candidates)) != len(self.candidates):
-                raise ValueError("duplicate candidates")
+        m = len(self.candidates) if isinstance(self.candidates, range) else 0
+        if m == 0 or m & (m - 1) or self.candidates != range(m):
+            raise ValueError(f"candidates must be range(2**k), got {self.candidates!r}")
 
     def __len__(self) -> int:
         return len(self.candidates)
 
     def adjacent(self, u: int, v: int) -> bool:
-        """Edge test on candidate values, not indices."""
         return u != v and (u ^ v) not in self.forbidden
-
-    @property
-    def is_canonical(self) -> bool:
-        """True when the candidate set is the full ascending range 0..2^s - 1.
-
-        Then the graph is a Cayley graph over GF(2)^s: vertex-transitive,
-        with every neighborhood an XOR translate of the neighborhood of 0.
-        """
-        c = self.candidates
-        m = len(c)
-        return (
-            isinstance(c, range)
-            and c.start == 0
-            and c.step == 1
-            and m >= 1
-            and m & (m - 1) == 0
-        )
 
 
 @lru_cache(maxsize=None)
@@ -177,40 +165,22 @@ class _Deadline(Exception):
 
 
 class _RowCache:
-    """Neighborhood bitmasks over candidate indices, built lazily.
-
-    Canonical graphs translate the neighborhood of 0; arbitrary candidate
-    tuples fall back to a full scan per vertex.
-    """
+    """Neighborhood bitmasks, built lazily as translates of the one of 0."""
 
     def __init__(self, graph: CompatibilityGraph):
-        self._graph = graph
         self._rows: dict[int, int] = {}
-        self._canonical = graph.is_canonical
-        if self._canonical:
-            m = len(graph)
-            base = ((1 << m) - 1) ^ 1
-            for f in graph.forbidden:
-                if f < m:
-                    base &= ~(1 << f)
-            self._base = base
-            self._width_bits = (m - 1).bit_length() if m > 1 else 0
+        m = len(graph)
+        base = ((1 << m) - 1) ^ 1
+        for f in graph.forbidden:
+            if f < m:
+                base &= ~(1 << f)
+        self._base = base
+        self._width_bits = (m - 1).bit_length()
 
     def row(self, index: int) -> int:
-        cached = self._rows.get(index)
-        if cached is not None:
-            return cached
-        graph = self._graph
-        if self._canonical:
-            mask = _xor_translate(self._base, index, self._width_bits)
-        else:
-            candidates = graph.candidates
-            u = candidates[index]
-            mask = 0
-            for j, v in enumerate(candidates):
-                if j != index and graph.adjacent(u, v):
-                    mask |= 1 << j
-        self._rows[index] = mask
+        mask = self._rows.get(index)
+        if mask is None:
+            mask = self._rows[index] = _xor_translate(self._base, index, self._width_bits)
         return mask
 
 
@@ -311,11 +281,8 @@ def _exact_max_clique(
     best: list[int] = []
     complete = True
     try:
-        if graph.is_canonical:
-            # some maximum clique contains vertex 0 by vertex transitivity
-            _expand(rows, [0], rows.row(0), best, deadline)
-        else:
-            _expand(rows, [], (1 << m) - 1, best, deadline)
+        # some maximum clique contains vertex 0 by vertex transitivity
+        _expand(rows, [0], rows.row(0), best, deadline)
     except _Deadline:
         complete = False
     if complete and best:
@@ -323,18 +290,15 @@ def _exact_max_clique(
             best = _lex_least_clique(rows, m, len(best), deadline)
         except _Deadline:
             pass
-    values = sorted(graph.candidates[i] for i in best)
-    return values, complete
+    return sorted(best), complete
 
 
 def _greedy_cliques(
     graph: CompatibilityGraph, seed: int, deadline: float | None
 ) -> tuple[list[int], bool]:
-    candidates = graph.candidates
-    values = candidates if isinstance(candidates, range) else set(candidates)
     rng = random.Random(seed)
     best: list[int] = []
-    order = list(candidates)
+    order = list(graph.candidates)
     for _ in range(_GREEDY_RESTARTS):
         if deadline is not None and time.monotonic() > deadline and best:
             break
@@ -344,11 +308,7 @@ def _greedy_cliques(
             if all(graph.adjacent(v, u) for u in clique):
                 clique.append(v)
         low = min(clique)
-        translated = sorted(c ^ low for c in clique)
-        if all(c in values for c in translated):
-            clique = translated
-        else:
-            clique = sorted(clique)
+        clique = sorted(c ^ low for c in clique)
         if len(clique) > len(best) or (len(clique) == len(best) and clique < best):
             best = clique
     return best, False
@@ -376,19 +336,47 @@ def find_max_clique(
     return _greedy_cliques(compatibility, config.seed, deadline)
 
 
-def _degeneracy_constraints(skeleton: OcwsCode, t: int) -> list[int]:
-    """X supports of weight <= t errors acting as a gauge element.
+def _echelon(vectors) -> dict[int, int]:
+    """Fully reduced echelon basis of the span, keyed by each row's top bit.
 
-    Words must have even overlap with each support, else such an error
-    acts with different signs on different codeword sectors.
+    The top bit of every row is clear in every other row.
     """
-    if t <= 0:
-        return []
-    masks = []
-    for e in enumerate_paulis(skeleton.n, min(t, skeleton.n)):
-        if gauge_reduce(skeleton, induce(skeleton, e)) == 0 and e.x:
-            masks.append(e.x)
-    return masks
+    rows: dict[int, int] = {}
+    for v in vectors:
+        for top in sorted(rows, reverse=True):
+            v = min(v, v ^ rows[top])
+        if v:
+            top = v.bit_length() - 1
+            for p, row in rows.items():
+                if row >> top & 1:
+                    rows[p] = row ^ v
+            rows[top] = v
+    return rows
+
+
+def _parity_kernel(skeleton: OcwsCode, t: int) -> list[int]:
+    """Ascending, fully reduced echelon basis of the parity kernel.
+
+    The kernel holds the words on qubits 1..s with even overlap with the
+    word-block X support of every degenerate error of weight <= t; zero
+    supports constrain nothing and drop out of the echelon form.  With
+    pivots at the top bits, the word of coordinate vector a (the XOR of
+    the basis rows at the set bits of a) carries a's bits at the pivots,
+    so the map a -> word preserves order.
+    """
+    sweep = enumerate_paulis(skeleton.n, min(t, skeleton.n))
+    constraints = _echelon(_parity_mask(skeleton, e) for e in sweep)
+    kernel = []
+    for j in range(skeleton.s):
+        if j not in constraints:
+            # free bit j, plus each pivot whose constraint row also holds bit j
+            v = 1 << j
+            for p, row in constraints.items():
+                if row >> j & 1:
+                    v |= 1 << p
+            kernel.append(v)
+    rows = _echelon(kernel)
+    return [rows[p] for p in sorted(rows)]
 
 
 def search_code(config: SearchConfig) -> OcwsCode:
@@ -400,41 +388,37 @@ def search_code(config: SearchConfig) -> OcwsCode:
     """
     skeleton = new_code(config.graph, config.r, (0,))
     forbidden = forbidden_differences(skeleton, config.target_distance - 1)
-    candidates = candidate_words(config)
     t = (config.target_distance - 1) // 2
-    constraints = _degeneracy_constraints(skeleton, t)
-    if constraints:
-        filtered = tuple(
-            c
-            for c in candidates
-            if all((c & mask).bit_count() % 2 == 0 for mask in constraints)
-        )
-        graph = CompatibilityGraph(filtered, forbidden)
-    else:
-        graph = CompatibilityGraph(candidates, forbidden)
+    basis = _parity_kernel(skeleton, t)
+    coordinates = _GF2Basis()
+    for i, row in enumerate(basis):
+        coordinates.add(row, 1 << i)
+    in_kernel = (coordinates.decompose(f) for f in forbidden)
+    graph = CompatibilityGraph(
+        range(1 << len(basis)), frozenset(a for a in in_kernel if a is not None)
+    )
     clique, _complete = find_max_clique(graph, config)
     if not clique:
         raise SearchError("no candidate clique found", best_k=0)
-    low = min(clique)
-    if low:
-        translated = sorted(c ^ low for c in clique)
-        if all(
-            all((c & mask).bit_count() % 2 == 0 for mask in constraints)
-            for c in translated
-        ):
-            clique = translated
     k = len(clique)
     if config.target_K is not None and k < config.target_K:
         raise SearchError(
             f"no word set of size >= {config.target_K} found; best is {k}",
             best_k=k,
         )
-    code = new_code(config.graph, config.r, tuple(sorted(clique)))
-    certified = certify_distance(code)
-    if certified < config.target_distance or not corrects_weight(code, t):
+    words = []
+    for a in clique:
+        word = 0
+        for i, row in enumerate(basis):
+            if a >> i & 1:
+                word ^= row
+        words.append(word)
+    code = new_code(config.graph, config.r, tuple(words))
+    result = analyze(code, t)
+    if result.distance < config.target_distance or result.degenerate is not None:
         raise SearchError(
             f"found word set of size {k} failed verification at distance "
             f"{config.target_distance}",
             best_k=k,
         )
-    return new_code(config.graph, config.r, tuple(sorted(clique)), certified)
+    return new_code(config.graph, config.r, tuple(words), result.distance)

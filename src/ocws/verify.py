@@ -7,10 +7,13 @@ weight <= t errors (those acting as a gauge element on the code space) to
 act identically on every codeword sector, which holds exactly when they
 commute with every word operator.
 
-Two independent routes are provided.  The operator route works through
-gauge-group membership of w_i E w_j products.  The classical route reduces
-every error to its induced Z bit-vector and compares translated word sets.
-They must agree on every code.
+Two independent routes are provided.  The operator route is one sweep,
+analyze(), over Paulis by ascending weight: it checks gauge-group
+membership of the w_i E w_j products and the degenerate action together,
+and certify_distance, corrects_weight and the CLI verdict all read its
+result.  The classical route reduces every error to its induced Z
+bit-vector and compares translated word sets.  They must agree on every
+code.
 """
 
 from __future__ import annotations
@@ -19,20 +22,24 @@ import itertools
 from dataclasses import dataclass
 
 from .code import OcwsCode, gauge_decomposition, gauge_generators
-from .induction import (
+# enumerate_paulis stays bound here for perfbench/spans.py, which wraps it
+from .induction import (  # noqa: F401
     enumerate_paulis,
     gauge_reduce,
     induce,
     induced_error_set,
     paulis_of_weight,
 )
-from .pauli import PauliOperator, commutes, multiply, weight
+from .pauli import PauliOperator, multiply
 
 __all__ = [
     "DetectionFailure",
     "DetectionReport",
+    "DegenerateFailure",
+    "Analysis",
     "detects",
     "detects_set",
+    "analyze",
     "corrects_weight",
     "certify_distance",
     "classical_route_corrects",
@@ -108,8 +115,71 @@ def detects_set(code: OcwsCode, errors) -> DetectionReport:
     return DetectionReport(len(errors), tuple(failures))
 
 
-def _uniform_degenerate_action(code: OcwsCode, e: PauliOperator) -> bool:
-    return all(commutes(e, code.word_operator(l)) for l in range(code.K))
+@dataclass(frozen=True)
+class DegenerateFailure:
+    """A degenerate error that anticommutes with word operator `word` (1-based)."""
+
+    error: PauliOperator
+    word: int
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Result of one sweep: certified distance and the first witnesses.
+
+    failure is the first undetectable error, where the sweep stopped
+    (None when every error up to weight n is detectable).  degenerate is
+    the first error of weight <= t that acts unevenly on the codeword
+    sectors; it is exhaustive only when distance > t.
+    """
+
+    distance: int
+    failure: DetectionFailure | None
+    degenerate: DegenerateFailure | None
+
+
+def _parity_mask(code: OcwsCode, e: PauliOperator) -> int:
+    """Word-block X support of a degenerate error, 0 when e is not degenerate.
+
+    An error whose induced class reduces to zero acts as a gauge element on
+    the code space, with sign (-1)^(x . c) on the sector of word c.  It acts
+    alike on every sector exactly when every word has even overlap with
+    this mask.
+    """
+    if gauge_reduce(code, induce(code, e)):
+        return 0
+    return e.x & ((1 << code.s) - 1)
+
+
+def _degenerate_failure(code: OcwsCode, e: PauliOperator) -> DegenerateFailure | None:
+    mask = _parity_mask(code, e)
+    for l, word in enumerate(code.words, start=1):
+        if (mask & word).bit_count() % 2:
+            return DegenerateFailure(e, l)
+    return None
+
+
+def analyze(code: OcwsCode, t: int) -> Analysis:
+    """Sweep Paulis by ascending weight in canonical order, once.
+
+    The sweep stops at the first undetectable error, whose weight is the
+    certified distance (n + 1 when every nonidentity Pauli is detectable;
+    with a single word no pair exists and only weights <= t are swept).
+    Errors of weight <= t are also checked for uneven degenerate action.
+    """
+    if t < 0:
+        raise ValueError(f"weight bound t={t} must be >= 0")
+    t = min(t, code.n)
+    table = _pair_table(code)
+    degenerate = None
+    for w in range(1, (code.n if table else t) + 1):
+        for e in paulis_of_weight(code.n, w):
+            if degenerate is None and w <= t:
+                degenerate = _degenerate_failure(code, e)
+            failure = _first_failure(code, e, table)
+            if failure is not None:
+                return Analysis(w, failure, degenerate)
+    return Analysis(code.n + 1, None, degenerate)
 
 
 def corrects_weight(code: OcwsCode, t: int) -> bool:
@@ -117,20 +187,11 @@ def corrects_weight(code: OcwsCode, t: int) -> bool:
 
     Requires detection of every nonidentity product of two such errors
     (weight <= 2t) and uniform action of the degenerate weight <= t errors
-    across all codeword sectors.
+    across all codeword sectors.  Reads analyze(code, t), whose sweep runs
+    on to the first undetectable error even when that lies past 2t.
     """
-    if t < 0:
-        raise ValueError(f"weight bound t={t} must be >= 0")
-    if t == 0:
-        return True
-    table = _pair_table(code)
-    for e in enumerate_paulis(code.n, min(2 * t, code.n)):
-        if _first_failure(code, e, table) is not None:
-            return False
-        if weight(e) <= t and gauge_reduce(code, induce(code, e)) == 0:
-            if not _uniform_degenerate_action(code, e):
-                return False
-    return True
+    a = analyze(code, t)
+    return a.distance > min(2 * t, code.n) and a.degenerate is None
 
 
 def certify_distance(code: OcwsCode) -> int:
@@ -141,14 +202,7 @@ def certify_distance(code: OcwsCode) -> int:
     word pair exists) the sweep is vacuous beyond weight n and the value is
     capped at n + 1.
     """
-    table = _pair_table(code)
-    if not table:
-        return code.n + 1
-    for w in range(1, code.n + 1):
-        for e in paulis_of_weight(code.n, w):
-            if _first_failure(code, e, table) is not None:
-                return w
-    return code.n + 1
+    return analyze(code, 0).distance
 
 
 def classical_route_corrects(code: OcwsCode, t: int) -> bool:

@@ -209,7 +209,6 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["induce", fixture_path("ring5_r2.ocws"), "--weight", "9"],
         ["search", "--graph", "ring", "--r", "1", "--distance", "3"],
         ["search", "--graph", "moon", "--r", "1", "--distance", "3"],
-        ["verify", fixture_path("ring5_r2.ocws"), "--threads", "0"],
         ["oracle-check", fixture_path("ring5_r2.ocws"), "--tol", "0"],
     ]
     for argv in cases:

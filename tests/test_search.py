@@ -2,24 +2,31 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from ocws import (
     CompatibilityGraph,
+    Graph,
     SearchConfig,
     SearchError,
     candidate_words,
     certify_distance,
     compatible,
     corrects_weight,
+    enumerate_paulis,
     find_max_clique,
     forbidden_differences,
+    gauge_reduce,
+    induce,
     induced_error_set,
     new_code,
     ring_graph,
     search_code,
+    write_code_file,
 )
+from ocws.search import _parity_kernel
 from conftest import WORDS_8_1, WORDS_9_3, bits
 
 
@@ -198,3 +205,98 @@ def test_translation_invariance_of_compatibility():
         if a == b:
             continue
         assert compatible(skel, a, b, sweep) == compatible(skel, a ^ t, b ^ t, sweep)
+
+
+# Graphs where some weight-1 error reduces to the zero class.  On the par
+# graphs a word vertex touches only gauge vertices, so its X support lies in
+# the word block and halves the candidate set; on rings with r = 3 the
+# masks lie on gauge qubits and filter nothing.
+_PAR10 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 1), (9, 1), (9, 8),
+          (10, 4), (10, 8))
+_PAR11 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 1), (10, 1),
+          (10, 9), (11, 5), (11, 9))
+_DATA = Path(__file__).resolve().parent / "data"
+
+
+def _edge_graph(n, edge_list):
+    rows = [0] * n
+    for i, j in edge_list:
+        rows[i - 1] |= 1 << (j - 1)
+        rows[j - 1] |= 1 << (i - 1)
+    return Graph(n, tuple(rows))
+
+
+PARITY_CASES = {
+    "par10_r2_d3": (_edge_graph(10, _PAR10), 2, 3),
+    "par11_r2_d3": (_edge_graph(11, _PAR11), 2, 3),
+    "ring10_r3_d3": (ring_graph(10), 3, 3),
+    "ring11_r3_d3": (ring_graph(11), 3, 3),
+    "ring12_r3_d3": (ring_graph(12), 3, 3),
+}
+# Vertices 4 and 8 are twins (same neighbors 3, 5, 9), so X_4 X_8 is a
+# degenerate weight-2 error whose two-bit mask makes the raw kernel vectors
+# leave ascending order until they are reduced.
+_TWINS9 = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 1), (8, 3), (8, 5),
+           (9, 4), (9, 8))
+KERNEL_CASES = {**PARITY_CASES, "twins9_r1_d5": (_edge_graph(9, _TWINS9), 1, 5)}
+
+
+def _filtered_candidates(skel, t):
+    """Words with even X overlap with every zero-class error of weight <= t."""
+    degenerate = [
+        e for e in enumerate_paulis(skel.n, t)
+        if gauge_reduce(skel, induce(skel, e)) == 0
+    ]
+    return [
+        c for c in range(1 << skel.s)
+        if all((e.x & c).bit_count() % 2 == 0 for e in degenerate)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_parity_kernel_basis_lists_filtered_candidates_in_order(name):
+    graph, r, d = KERNEL_CASES[name]
+    skel = new_code(graph, r, (0,))
+    basis = _parity_kernel(skel, (d - 1) // 2)
+    words = []
+    for a in range(1 << len(basis)):
+        word = 0
+        for i, row in enumerate(basis):
+            if a >> i & 1:
+                word ^= row
+        words.append(word)
+    assert words == _filtered_candidates(skel, (d - 1) // 2)
+    if not name.startswith("ring"):
+        assert len(basis) == skel.s - 1
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_parity_search_matches_pinned_code_files(name, mode):
+    graph, r, d = PARITY_CASES[name]
+    code = search_code(SearchConfig(graph, r, d, mode=mode))
+    assert write_code_file(code) == (_DATA / f"{name}_{mode}.ocws").read_text()
+
+
+# cases with at most 2^8 filtered candidates, where the reference is quick
+@pytest.mark.parametrize("name", ["par10_r2_d3", "par11_r2_d3", "ring10_r3_d3", "ring11_r3_d3"])
+def test_parity_search_k_equals_reference_max_clique(name):
+    nx = pytest.importorskip("networkx")
+    graph, r, d = PARITY_CASES[name]
+    skel = new_code(graph, r, (0,))
+    candidates = _filtered_candidates(skel, (d - 1) // 2)
+    forbidden = forbidden_differences(skel, d - 1)
+    reference = nx.Graph()
+    reference.add_nodes_from(candidates)
+    reference.add_edges_from(
+        (u, v) for u, v in itertools.combinations(candidates, 2) if u ^ v not in forbidden
+    )
+    _clique, size = nx.max_weight_clique(reference, weight=None)
+    assert search_code(SearchConfig(graph, r, d)).K == size
+
+
+def test_compatibility_graph_needs_a_power_of_two_range():
+    for candidates in ((0, 1, 2, 3), range(1, 9), range(0, 16, 2), range(6), range(0)):
+        with pytest.raises(ValueError, match="range"):
+            CompatibilityGraph(candidates, frozenset())
+    assert len(CompatibilityGraph(range(1), frozenset())) == 1

@@ -5,21 +5,29 @@ import random
 import pytest
 
 from ocws import (
+    DegenerateFailure,
     Graph,
+    analyze,
     certify_distance,
     classical_route_corrects,
+    commutes,
     corrects_weight,
     detects,
     detects_set,
     enumerate_paulis,
+    format_pauli,
     gauge_generators,
     gauge_reduce,
     induce,
     multiply,
     new_code,
     parse_pauli,
+    paulis_of_weight,
     ring_graph,
+    weight,
+    write_code_file,
 )
+from ocws.cli import main
 from conftest import random_code, random_graph
 
 
@@ -161,3 +169,120 @@ def test_certify_distance_lower_bounds_word_weight(code_9_3_1_3):
         code_9_3_1_3, [code_9_3_1_3.word_operator(i) for i in range(1, code_9_3_1_3.K)]
     )
     assert len(report.failures) == code_9_3_1_3.K - 1
+
+
+def _reference_scan(code):
+    """First undetectable error and every uneven degenerate error.
+
+    Detection comes from detects_set over each weight in turn; degeneracy
+    from a direct scan of the zero-class errors against every word
+    operator, listing (weight, first anticommuting word) in canonical order.
+    """
+    distance, failure = code.n + 1, None
+    for w in range(1, code.n + 1):
+        report = detects_set(code, paulis_of_weight(code.n, w))
+        if report.failures:
+            distance, failure = w, report.failures[0]
+            break
+    degenerate = []
+    for e in enumerate_paulis(code.n, code.n):
+        if gauge_reduce(code, induce(code, e)) == 0:
+            for l in range(code.K):
+                if not commutes(e, code.word_operator(l)):
+                    degenerate.append((weight(e), DegenerateFailure(e, l + 1)))
+                    break
+    return distance, failure, degenerate
+
+
+def _first_degenerate(degenerate, t):
+    return next((g for w, g in degenerate if w <= t), None)
+
+
+def _reference_verify_lines(code, scan, d):
+    distance, failure, degenerate = scan
+    t = (d - 1) // 2
+    first = _first_degenerate(degenerate, t)
+    ok = distance >= d and (t == 0 or (distance > min(2 * t, code.n) and first is None))
+    lines = []
+    if not ok and failure is not None and distance < d:
+        lines.append(
+            f"WITNESS error={format_pauli(failure.error)} "
+            f"words=({failure.word_i},{failure.word_j}) product={failure.decomposition}"
+        )
+    elif not ok and first is not None:
+        lines.append(f"WITNESS degenerate error={format_pauli(first.error)} word={first.word}")
+    verdict = "pass" if ok else "fail"
+    lines.append(f"VERDICT {verdict} n={code.n} K={code.K} r={code.r} d={distance}")
+    return ok, lines
+
+
+# Edge 1-2 plus vertex 3 attached only to the gauge qubits 4, 5: X_3 is degenerate.
+_PENDANT5 = Graph(5, (0b00010, 0b00001, 0b11000, 0b00100, 0b00100))
+
+
+def _sweep_cases():
+    """Random codes with n <= 6, plus two on the 5-qubit pendant graph."""
+    rng = random.Random(77)
+    codes = [new_code(_PENDANT5, 2, (0, 0b101)), new_code(_PENDANT5, 2, (0b100,))]
+    for _ in range(36):
+        n = rng.randint(3, 6)
+        r = rng.randint(0, min(2, n - 1))
+        K = rng.choice([1, 1, 2, 3, 4])
+        codes.append(random_code(rng, random_graph(rng, n), r, min(K, 1 << (n - r))))
+    return codes
+
+
+def test_analyze_matches_reference_scan():
+    for code in _sweep_cases():
+        distance, failure, degenerate = _reference_scan(code)
+        assert certify_distance(code) == distance
+        for t in range(code.n + 2):
+            a = analyze(code, t)
+            assert (a.distance, a.failure) == (distance, failure)
+            first = _first_degenerate(degenerate, t)
+            if distance > t:
+                assert a.degenerate == first
+            expected = t == 0 or (distance > min(2 * t, code.n) and first is None)
+            assert corrects_weight(code, t) == expected
+
+
+def test_cli_verify_matches_reference_lines(capsys, tmp_path):
+    path = tmp_path / "code.ocws"
+    edge_seen = False
+    for code in _sweep_cases():
+        path.write_text(write_code_file(code))
+        scan = _reference_scan(code)
+        for d in range(1, 2 * code.n + 3):
+            ok, lines = _reference_verify_lines(code, scan, d)
+            status = main(["verify", str(path), "--distance", str(d), "--format", "lines"])
+            assert capsys.readouterr().out.splitlines() == lines
+            assert status == (0 if ok else 1)
+            edge_seen |= certify_distance(code) == code.n + 1 < d and not ok
+    # K = 1 codes certify n + 1; past that only a degenerate witness can print
+    assert edge_seen
+
+
+def test_verify_past_n_plus_one_prints_only_degenerate_witness(capsys, tmp_path):
+    path = tmp_path / "code.ocws"
+    path.write_text(write_code_file(new_code(_PENDANT5, 2, (0b100,))))
+    assert main(["verify", str(path), "--distance", "12", "--format", "lines"]) == 1
+    assert capsys.readouterr().out == (
+        "WITNESS degenerate error=IIXII word=1\nVERDICT fail n=5 K=1 r=2 d=6\n"
+    )
+    path.write_text(write_code_file(new_code(_PENDANT5, 2, (0,))))
+    assert main(["verify", str(path), "--distance", "12", "--format", "lines"]) == 1
+    assert capsys.readouterr().out == "VERDICT fail n=5 K=1 r=2 d=6\n"
+
+
+def test_verify_prints_degenerate_witness_when_distance_holds(capsys, tmp_path):
+    path = tmp_path / "code.ocws"
+    path.write_text(write_code_file(_pendant_gauge_code()))
+    assert main(["verify", str(path), "--distance", "3", "--format", "lines"]) == 1
+    assert capsys.readouterr().out == (
+        "WITNESS degenerate error=IIIIIIXII word=2\nVERDICT fail n=9 K=2 r=2 d=3\n"
+    )
+    assert main(["verify", str(path), "--distance", "4", "--format", "lines"]) == 1
+    assert capsys.readouterr().out == (
+        "WITNESS error=ZIIZIIYII words=(1,2) product=S7*g1*g2\n"
+        "VERDICT fail n=9 K=2 r=2 d=3\n"
+    )
