@@ -9,8 +9,11 @@ gauge-reduced induced error of weight <= d - 1.  In the coordinates of a
 fully reduced echelon basis of the kernel, the compatibility graph is
 therefore a Cayley graph over GF(2)^k, and a maximum clique is a
 maximum-size word set.  The coordinate map preserves order, so the
-lexicographically least clique maps to the least word set.  Every found
-code is re-checked by one verifier sweep before it is returned.
+lexicographically least clique maps to the least word set.  Both search
+modes work on the same neighborhood bitmasks; the exact one is a decision
+branch-and-bound, raised from the greedy clique at vertex 0 and then run
+again for the lexicographically least clique.  Every found code is
+re-checked by one verifier sweep before it is returned.
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ class SearchConfig:
             raise ValueError(f"target K {self.target_K} must be >= 1")
         if self.mode not in ("exact", "greedy"):
             raise ValueError(f"mode must be 'exact' or 'greedy', got {self.mode!r}")
-        if self.mode == "exact" and self.s > 24:
-            raise ValueError(f"s={self.s} too large for exact mode (limit 24)")
+        if self.s > 24:
+            raise ValueError(f"s={self.s} too large for search (limit 24)")
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError(f"time budget {self.time_budget} must be positive")
 
@@ -135,9 +138,6 @@ class CompatibilityGraph:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return u != v and (u ^ v) not in self.forbidden
-
 
 @lru_cache(maxsize=None)
 def _low_half_pattern(bit: int, width_bits: int) -> int:
@@ -177,10 +177,14 @@ class _RowCache:
         self._base = base
         self._width_bits = (m - 1).bit_length()
 
+    def translate(self, index: int) -> int:
+        """Neighborhood of the index, computed afresh and not kept."""
+        return _xor_translate(self._base, index, self._width_bits)
+
     def row(self, index: int) -> int:
         mask = self._rows.get(index)
         if mask is None:
-            mask = self._rows[index] = _xor_translate(self._base, index, self._width_bits)
+            mask = self._rows[index] = self.translate(index)
         return mask
 
 
@@ -210,45 +214,24 @@ def _color_order(rows: _RowCache, pool: int) -> list[tuple[int, int]]:
     return order
 
 
-def _expand(
-    rows: _RowCache,
-    clique: list[int],
-    pool: int,
-    best: list[int],
-    deadline: float | None,
-) -> None:
-    _check_deadline(deadline)
-    if not pool:
-        if len(clique) > len(best):
-            best[:] = clique
-        return
-    order = _color_order(rows, pool)
-    for v, bound in reversed(order):
-        if len(clique) + bound <= len(best):
-            return
-        clique.append(v)
-        _expand(rows, clique, pool & rows.row(v), best, deadline)
-        clique.pop()
-        pool &= ~(1 << v)
-
-
-def _exists_clique(rows: _RowCache, pool: int, size: int, deadline: float | None) -> bool:
-    """True iff the pool contains a clique of the given size."""
+def _exists_clique(
+    rows: _RowCache, pool: int, size: int, deadline: float | None
+) -> list[int] | None:
+    """A clique of the given size within the pool, or None if there is none."""
     if size <= 0:
-        return True
+        return []
     _check_deadline(deadline)
     if pool.bit_count() < size:
-        return False
-    order = _color_order(rows, pool)
-    if order[-1][1] < size:
-        return False
-    for v, bound in reversed(order):
+        return None
+    for v, bound in reversed(_color_order(rows, pool)):
         if bound < size:
-            return False
-        if _exists_clique(rows, pool & rows.row(v), size - 1, deadline):
-            return True
+            return None
+        found = _exists_clique(rows, pool & rows.row(v), size - 1, deadline)
+        if found is not None:
+            found.append(v)
+            return found
         pool &= ~(1 << v)
-    return False
+    return None
 
 
 def _lex_least_clique(
@@ -263,7 +246,7 @@ def _lex_least_clique(
             v = (available & -available).bit_length() - 1
             above = ~((1 << (v + 1)) - 1)
             narrowed = pool & rows.row(v) & above
-            if _exists_clique(rows, narrowed, size - len(clique) - 1, deadline):
+            if _exists_clique(rows, narrowed, size - len(clique) - 1, deadline) is not None:
                 clique.append(v)
                 pool = narrowed
                 break
@@ -276,27 +259,34 @@ def _lex_least_clique(
 def _exact_max_clique(
     graph: CompatibilityGraph, deadline: float | None
 ) -> tuple[list[int], bool]:
-    m = len(graph)
     rows = _RowCache(graph)
-    best: list[int] = []
-    complete = True
+    # some maximum clique contains vertex 0 by vertex transitivity
+    neighbors = rows.row(0)
+    best = [0]
+    pool = neighbors
+    while pool:
+        v = (pool & -pool).bit_length() - 1
+        best.append(v)
+        pool &= rows.row(v)
     try:
-        # some maximum clique contains vertex 0 by vertex transitivity
-        _expand(rows, [0], rows.row(0), best, deadline)
+        # the first size with no clique through 0 proves the last one maximum
+        while (found := _exists_clique(rows, neighbors, len(best), deadline)) is not None:
+            best = [0, *found]
     except _Deadline:
-        complete = False
-    if complete and best:
-        try:
-            best = _lex_least_clique(rows, m, len(best), deadline)
-        except _Deadline:
-            pass
-    return sorted(best), complete
+        return sorted(best), False
+    try:
+        best = _lex_least_clique(rows, len(graph), len(best), deadline)
+    except _Deadline:
+        pass
+    return sorted(best), True
 
 
 def _greedy_cliques(
     graph: CompatibilityGraph, seed: int, deadline: float | None
 ) -> tuple[list[int], bool]:
     rng = random.Random(seed)
+    rows = _RowCache(graph)
+    everything = (1 << len(graph)) - 1
     best: list[int] = []
     order = list(graph.candidates)
     for _ in range(_GREEDY_RESTARTS):
@@ -304,9 +294,13 @@ def _greedy_cliques(
             break
         rng.shuffle(order)
         clique: list[int] = []
+        pool = everything
         for v in order:
-            if all(graph.adjacent(v, u) for u in clique):
+            if pool >> v & 1:
                 clique.append(v)
+                pool &= rows.translate(v)
+                if not pool:
+                    break
         low = min(clique)
         clique = sorted(c ^ low for c in clique)
         if len(clique) > len(best) or (len(clique) == len(best) and clique < best):
@@ -319,15 +313,15 @@ def find_max_clique(
 ) -> tuple[list[int], bool]:
     """Largest clique of candidate words plus a completeness flag.
 
-    Exact mode proves maximality with a branch-and-bound using a greedy
-    coloring bound and returns the lexicographically least clique of that
-    size; if the time budget runs out the best clique so far is returned
-    flagged incomplete.  Greedy mode takes the best of seeded randomized
-    restarts and is never flagged complete.  Output is deterministic for a
-    given mode and seed.
+    Exact mode raises the greedy clique at vertex 0 one vertex at a time
+    with a decision branch-and-bound under a greedy coloring bound; the
+    first size it refutes proves the last one maximum, and the same
+    routine then picks the lexicographically least clique of that size.
+    If the time budget runs out first, the largest clique proven so far is
+    returned flagged incomplete.  Greedy mode takes the best of seeded
+    randomized restarts on the same neighborhood bitmasks and is never
+    flagged complete.  Output is deterministic for a given mode and seed.
     """
-    if len(compatibility) == 0:
-        raise ValueError("empty candidate set")
     deadline = None
     if config.time_budget is not None:
         deadline = time.monotonic() + config.time_budget

@@ -26,8 +26,8 @@ from ocws import (
     search_code,
     write_code_file,
 )
-from ocws.search import _parity_kernel
-from conftest import WORDS_8_1, WORDS_9_3, bits
+from ocws.search import _GREEDY_RESTARTS, _parity_kernel
+from conftest import WORDS_8_1, WORDS_9_3, bits, random_graph
 
 
 def _skeleton(n, r):
@@ -50,8 +50,9 @@ def test_candidate_words_zero_first_ascending():
 
 
 def test_exact_mode_candidate_space_bound():
-    with pytest.raises(ValueError, match="too large"):
-        SearchConfig(ring_graph(26), 1, 3, mode="exact")
+    for mode in ("exact", "greedy"):
+        with pytest.raises(ValueError, match="too large"):
+            SearchConfig(ring_graph(26), 1, 3, mode=mode)
 
 
 def test_config_validation():
@@ -278,11 +279,27 @@ def test_parity_search_matches_pinned_code_files(name, mode):
     assert write_code_file(code) == (_DATA / f"{name}_{mode}.ocws").read_text()
 
 
+def _random_case(seed):
+    """r = 0..3 and d = 2..4 by seed; s = 5..7, and s = 3..5 at d = 2 where cliques are large."""
+    rng = random.Random(seed)
+    r, d = seed % 4, 2 + seed // 4 % 3
+    s = rng.randrange(3, 6) if d == 2 else rng.randrange(5, 8)
+    return random_graph(rng, s + r), r, d
+
+
 # cases with at most 2^8 filtered candidates, where the reference is quick
-@pytest.mark.parametrize("name", ["par10_r2_d3", "par11_r2_d3", "ring10_r3_d3", "ring11_r3_d3"])
+REFERENCE_CASES = {
+    **{name: PARITY_CASES[name]
+       for name in ("par10_r2_d3", "par11_r2_d3", "ring10_r3_d3", "ring11_r3_d3")},
+    **{f"random{seed}": _random_case(seed) for seed in range(24)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
 def test_parity_search_k_equals_reference_max_clique(name):
+    """The words are the lexicographically least maximum clique of the candidates."""
     nx = pytest.importorskip("networkx")
-    graph, r, d = PARITY_CASES[name]
+    graph, r, d = REFERENCE_CASES[name]
     skel = new_code(graph, r, (0,))
     candidates = _filtered_candidates(skel, (d - 1) // 2)
     forbidden = forbidden_differences(skel, d - 1)
@@ -291,8 +308,47 @@ def test_parity_search_k_equals_reference_max_clique(name):
     reference.add_edges_from(
         (u, v) for u, v in itertools.combinations(candidates, 2) if u ^ v not in forbidden
     )
-    _clique, size = nx.max_weight_clique(reference, weight=None)
-    assert search_code(SearchConfig(graph, r, d)).K == size
+    cliques = [tuple(sorted(c)) for c in nx.find_cliques(reference)]
+    size = max(map(len, cliques))
+    least = min(c for c in cliques if len(c) == size)
+    assert search_code(SearchConfig(graph, r, d)).words == least
+
+
+def _pairwise_greedy(graph, seed):
+    """Greedy multistart with a pairwise adjacency test per clique member."""
+    rng = random.Random(seed)
+    best = []
+    order = list(graph.candidates)
+    for _ in range(_GREEDY_RESTARTS):
+        rng.shuffle(order)
+        clique = []
+        for v in order:
+            if all(v != u and (v ^ u) not in graph.forbidden for u in clique):
+                clique.append(v)
+        low = min(clique)
+        clique = sorted(c ^ low for c in clique)
+        if len(clique) > len(best) or (len(clique) == len(best) and clique < best):
+            best = clique
+    return best
+
+
+def _greedy_graphs():
+    for n, r, d in ((8, 1, 3), (9, 1, 3), (10, 2, 3), (9, 0, 4), (7, 1, 2)):
+        yield CompatibilityGraph(range(1 << (n - r)), forbidden_differences(_skeleton(n, r), d - 1))
+    rng = random.Random(3)
+    for k in (2, 4, 6, 7):
+        yield CompatibilityGraph(range(1 << k), frozenset(rng.sample(range(1, 1 << k), k)))
+    yield CompatibilityGraph(range(16), frozenset())
+    yield CompatibilityGraph(range(16), frozenset(range(1, 16)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_greedy_matches_pairwise_reference(seed):
+    config = SearchConfig(ring_graph(5), 2, 3, mode="greedy", seed=seed)
+    for graph in _greedy_graphs():
+        clique, complete = find_max_clique(graph, config)
+        assert not complete
+        assert clique == _pairwise_greedy(graph, seed)
 
 
 def test_compatibility_graph_needs_a_power_of_two_range():
