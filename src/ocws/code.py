@@ -38,26 +38,40 @@ class CodeFileError(ValueError):
 
 
 class _GF2Basis:
-    """Row-echelon basis over GF(2) with generator-combination tracking.
+    """Fully reduced row-echelon basis over GF(2) with combination tracking.
 
-    Vectors are plain integers.  Each stored row remembers which original
-    generators combine to it, so membership tests can also produce a
-    decomposition witness.
+    Vectors are plain integers.  Each row is keyed by its top bit, its
+    pivot, and every pivot bit is clear in every other row, so the pivot
+    bits of a vector alone name the rows that reduce it, each once.  Each
+    stored row remembers which original generators combine to it, so
+    membership tests can also produce a decomposition witness.  This is the
+    package's one GF(2) elimination: the gauge group, the search's parity
+    constraints and its kernel coordinates all use it.
     """
 
     def __init__(self) -> None:
         self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, combo)
+        self._pivots = 0
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, vector: int, combo: int) -> bool:
+    def rows(self) -> list[int]:
+        """The row vectors in ascending pivot order."""
+        return [self._rows[p][0] for p in sorted(self._rows)]
+
+    def add(self, vector: int, combo: int = 0) -> bool:
         """Insert a vector; returns False if it was already in the span."""
         residue, combo = self._reduce(vector, combo)
         if residue == 0:
             return False
-        self._rows[residue.bit_length() - 1] = (residue, combo)
+        pivot = residue.bit_length() - 1
+        for p, (row, row_combo) in self._rows.items():
+            if row >> pivot & 1:
+                self._rows[p] = (row ^ residue, row_combo ^ combo)
+        self._rows[pivot] = (residue, combo)
+        self._pivots |= 1 << pivot
         return True
 
     def decompose(self, vector: int) -> int | None:
@@ -74,17 +88,15 @@ class _GF2Basis:
         return self._reduce(vector, 0)[0]
 
     def _reduce(self, vector: int, combo: int) -> tuple[int, int]:
-        residue = 0
-        while vector:
-            top = vector.bit_length() - 1
-            row = self._rows.get(top)
-            if row is None:
-                residue |= 1 << top
-                vector ^= 1 << top
-            else:
-                vector ^= row[0]
-                combo ^= row[1]
-        return residue, combo
+        # a row changes no pivot bit but its own, so the hits are fixed up front
+        hits = vector & self._pivots
+        while hits:
+            p = hits.bit_length() - 1
+            row, row_combo = self._rows[p]
+            vector ^= row
+            combo ^= row_combo
+            hits ^= 1 << p
+        return vector, combo
 
 
 @dataclass(frozen=True)

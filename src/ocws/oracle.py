@@ -183,7 +183,7 @@ def oqec_check(
     alignment and subtraction; a closed-form norm identity loses about
     eight digits to cancellation exactly in the all-pass case it matters.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance {tol} must be positive")
     for e in errors:
         if e.n != code.n:

@@ -8,12 +8,14 @@ code of target distance d exactly when their XOR difference avoids every
 gauge-reduced induced error of weight <= d - 1.  In the coordinates of a
 fully reduced echelon basis of the kernel, the compatibility graph is
 therefore a Cayley graph over GF(2)^k, and a maximum clique is a
-maximum-size word set.  The coordinate map preserves order, so the
-lexicographically least clique maps to the least word set.  Both search
-modes work on the same neighborhood bitmasks; the exact one is a decision
-branch-and-bound, raised from the greedy clique at vertex 0 and then run
-again for the lexicographically least clique.  Every found code is
-re-checked by one verifier sweep before it is returned.
+maximum-size word set.  The parity constraints, the kernel basis and the
+coordinates all come from code._GF2Basis.  The coordinate map preserves
+order, so the lexicographically least clique maps to the least word set.
+Both search modes work on the same neighborhood bitmasks; the exact one is
+a decision branch-and-bound, raised from the greedy clique at vertex 0 and,
+only when a raise succeeded, run again for the lexicographically least
+clique.  Every found code is re-checked by one verifier sweep before it is
+returned.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .verify import _parity_mask, analyze, certify_distance, corrects_weight  # 
 __all__ = [
     "SearchError",
     "SearchConfig",
-    "candidate_words",
     "compatible",
     "forbidden_differences",
     "CompatibilityGraph",
@@ -73,17 +74,12 @@ class SearchConfig:
             raise ValueError(f"mode must be 'exact' or 'greedy', got {self.mode!r}")
         if self.s > 24:
             raise ValueError(f"s={self.s} too large for search (limit 24)")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError(f"time budget {self.time_budget} must be positive")
 
     @property
     def s(self) -> int:
         return self.graph.n - self.r
-
-
-def candidate_words(config: SearchConfig) -> range:
-    """All 2^s words supported on the non-gauge qubits, zero first, ascending."""
-    return range(1 << config.s)
 
 
 def compatible(code_skeleton: OcwsCode, c_i: int, c_j: int, error_sweep) -> bool:
@@ -268,16 +264,19 @@ def _exact_max_clique(
         v = (pool & -pool).bit_length() - 1
         best.append(v)
         pool &= rows.row(v)
+    walk = len(best)
     try:
         # the first size with no clique through 0 proves the last one maximum
         while (found := _exists_clique(rows, neighbors, len(best), deadline)) is not None:
             best = [0, *found]
     except _Deadline:
         return sorted(best), False
-    try:
-        best = _lex_least_clique(rows, len(graph), len(best), deadline)
-    except _Deadline:
-        pass
+    # the ascending walk is the lex-least maximal clique; if maximum, it is the answer
+    if len(best) > walk:
+        try:
+            best = _lex_least_clique(rows, len(graph), len(best), deadline)
+        except _Deadline:
+            pass
     return sorted(best), True
 
 
@@ -315,9 +314,12 @@ def find_max_clique(
 
     Exact mode raises the greedy clique at vertex 0 one vertex at a time
     with a decision branch-and-bound under a greedy coloring bound; the
-    first size it refutes proves the last one maximum, and the same
-    routine then picks the lexicographically least clique of that size.
-    If the time budget runs out first, the largest clique proven so far is
+    first size it refutes proves the last one maximum.  The greedy clique
+    comes from the ascending walk (take the lowest vertex left in the
+    pool), so it is the lexicographically least maximal clique, and when
+    no raise succeeds it is returned as it is.  Otherwise the same routine
+    picks the lexicographically least clique of the raised size.  If the
+    time budget runs out first, the largest clique proven so far is
     returned flagged incomplete.  Greedy mode takes the best of seeded
     randomized restarts on the same neighborhood bitmasks and is never
     flagged complete.  Output is deterministic for a given mode and seed.
@@ -330,24 +332,6 @@ def find_max_clique(
     return _greedy_cliques(compatibility, config.seed, deadline)
 
 
-def _echelon(vectors) -> dict[int, int]:
-    """Fully reduced echelon basis of the span, keyed by each row's top bit.
-
-    The top bit of every row is clear in every other row.
-    """
-    rows: dict[int, int] = {}
-    for v in vectors:
-        for top in sorted(rows, reverse=True):
-            v = min(v, v ^ rows[top])
-        if v:
-            top = v.bit_length() - 1
-            for p, row in rows.items():
-                if row >> top & 1:
-                    rows[p] = row ^ v
-            rows[top] = v
-    return rows
-
-
 def _parity_kernel(skeleton: OcwsCode, t: int) -> list[int]:
     """Ascending, fully reduced echelon basis of the parity kernel.
 
@@ -358,19 +342,20 @@ def _parity_kernel(skeleton: OcwsCode, t: int) -> list[int]:
     the basis rows at the set bits of a) carries a's bits at the pivots,
     so the map a -> word preserves order.
     """
-    sweep = enumerate_paulis(skeleton.n, min(t, skeleton.n))
-    constraints = _echelon(_parity_mask(skeleton, e) for e in sweep)
-    kernel = []
+    constraints = _GF2Basis()
+    for e in enumerate_paulis(skeleton.n, min(t, skeleton.n)):
+        constraints.add(_parity_mask(skeleton, e))
+    rows = {row.bit_length() - 1: row for row in constraints.rows()}
+    kernel = _GF2Basis()
     for j in range(skeleton.s):
-        if j not in constraints:
+        if j not in rows:
             # free bit j, plus each pivot whose constraint row also holds bit j
             v = 1 << j
-            for p, row in constraints.items():
+            for p, row in rows.items():
                 if row >> j & 1:
                     v |= 1 << p
-            kernel.append(v)
-    rows = _echelon(kernel)
-    return [rows[p] for p in sorted(rows)]
+            kernel.add(v)
+    return kernel.rows()
 
 
 def search_code(config: SearchConfig) -> OcwsCode:
@@ -392,8 +377,6 @@ def search_code(config: SearchConfig) -> OcwsCode:
         range(1 << len(basis)), frozenset(a for a in in_kernel if a is not None)
     )
     clique, _complete = find_max_clique(graph, config)
-    if not clique:
-        raise SearchError("no candidate clique found", best_k=0)
     k = len(clique)
     if config.target_K is not None and k < config.target_K:
         raise SearchError(

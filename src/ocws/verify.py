@@ -71,13 +71,15 @@ def _pair_table(code: OcwsCode) -> dict[int, tuple[int, int]]:
 
     w_i E w_j lies in the gauge group exactly when the symplectic vector of
     E and the pure-Z vector c_i xor c_j share a canonical residue, so one
-    residue lookup per error replaces the per-pair membership tests.
+    residue lookup per error replaces the per-pair membership tests.  The
+    canonical map is linear, so each word is reduced once and a pair's
+    residue is the XOR of its two words' residues.
     """
     basis = gauge_generators(code).basis
+    residues = [basis.canonical(c) for c in code.words]
     table: dict[int, tuple[int, int]] = {}
-    for (i, ci), (j, cj) in itertools.combinations(enumerate(code.words, start=1), 2):
-        residue = basis.canonical(ci ^ cj)
-        table.setdefault(residue, (i, j))
+    for (i, ri), (j, rj) in itertools.combinations(enumerate(residues, start=1), 2):
+        table.setdefault(ri ^ rj, (i, j))
     return table
 
 

@@ -210,6 +210,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["search", "--graph", "ring", "--r", "1", "--distance", "3"],
         ["search", "--graph", "moon", "--r", "1", "--distance", "3"],
         ["oracle-check", fixture_path("ring5_r2.ocws"), "--tol", "0"],
+        ["oracle-check", fixture_path("ring5_r2.ocws"), "--tol", "nan"],
+        ["search", "--graph", "ring", "--n", "5", "--r", "1", "--distance", "3",
+         "--budget", "nan"],
     ]
     for argv in cases:
         code = main(argv)

@@ -20,6 +20,7 @@ from ocws import (
     ring_graph,
     write_code_file,
 )
+from ocws.code import _GF2Basis
 from conftest import bits, random_code, random_graph
 
 
@@ -93,6 +94,37 @@ def test_membership_matches_brute_force_span():
         for _ in range(200):
             p = PauliOperator(n, x=rng.randrange(1 << n), z=rng.randrange(1 << n))
             assert in_gauge_group(code, p) == ((p.x, p.z) in span)
+
+
+def test_gf2_basis_matches_brute_force_span():
+    rng = random.Random(23)
+    for _ in range(100):
+        width = rng.randint(1, 8)
+        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 10))]
+        basis = _GF2Basis()
+        span = {0}
+        for k, v in enumerate(vectors):
+            assert basis.add(v, 1 << k) == (v not in span)
+            span |= {u ^ v for u in span}
+        rows = basis.rows()
+        pivots = [row.bit_length() - 1 for row in rows]
+        assert pivots == sorted(set(pivots)) and len(span) == 1 << basis.rank
+        # fully reduced: each pivot bit is set in its own row only
+        assert all(sum(row >> p & 1 for row in rows) == 1 for p in pivots)
+        pivot_mask = sum(1 << p for p in pivots)
+        for a in range(1 << width):
+            b = rng.randrange(1 << width)
+            assert basis.canonical(a ^ b) == basis.canonical(a) ^ basis.canonical(b)
+            assert basis.canonical(a) & pivot_mask == 0
+            assert basis.canonical(a) ^ a in span
+            combo = basis.decompose(a)
+            assert (combo is not None) == (a in span)
+            if combo is not None:
+                rebuilt = 0
+                for k, v in enumerate(vectors):
+                    if combo >> k & 1:
+                        rebuilt ^= v
+                assert rebuilt == a
 
 
 def test_decomposition_reproduces_element(code_8_1_1_3):

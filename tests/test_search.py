@@ -11,7 +11,6 @@ from ocws import (
     Graph,
     SearchConfig,
     SearchError,
-    candidate_words,
     certify_distance,
     compatible,
     corrects_weight,
@@ -36,17 +35,6 @@ def _skeleton(n, r):
 
 def _weight1_classes(code):
     return [c.bits for c in induced_error_set(code, 1)]
-
-
-def test_candidate_words_counts():
-    assert len(candidate_words(SearchConfig(ring_graph(5), 2, 1))) == 8
-    assert len(candidate_words(SearchConfig(ring_graph(9), 1, 3))) == 256
-
-
-def test_candidate_words_zero_first_ascending():
-    cands = candidate_words(SearchConfig(ring_graph(5), 2, 1))
-    assert list(cands) == sorted(cands)
-    assert cands[0] == 0
 
 
 def test_exact_mode_candidate_space_bound():
@@ -124,7 +112,7 @@ def test_max_clique_on_edgeless_graph():
 def test_max_clique_nine_ring_reaches_eight():
     skel = _skeleton(9, 1)
     config = SearchConfig(ring_graph(9), 1, 3)
-    graph = CompatibilityGraph(candidate_words(config), forbidden_differences(skel, 2))
+    graph = CompatibilityGraph(range(1 << config.s), forbidden_differences(skel, 2))
     clique, complete = find_max_clique(graph, config)
     assert complete
     assert len(clique) == 8
@@ -134,7 +122,7 @@ def test_max_clique_nine_ring_reaches_eight():
 def test_budget_exhaustion_flags_incomplete():
     skel = _skeleton(9, 1)
     config = SearchConfig(ring_graph(9), 1, 3, time_budget=1e-9)
-    graph = CompatibilityGraph(candidate_words(config), forbidden_differences(skel, 2))
+    graph = CompatibilityGraph(range(1 << config.s), forbidden_differences(skel, 2))
     _clique, complete = find_max_clique(graph, config)
     assert not complete
 
@@ -142,7 +130,7 @@ def test_budget_exhaustion_flags_incomplete():
 def test_exact_beats_or_matches_greedy():
     skel = _skeleton(9, 1)
     forbidden = forbidden_differences(skel, 2)
-    cands = candidate_words(SearchConfig(ring_graph(9), 1, 3))
+    cands = range(1 << 8)
     graph = CompatibilityGraph(cands, forbidden)
     exact, _ = find_max_clique(graph, SearchConfig(ring_graph(9), 1, 3))
     greedy, _ = find_max_clique(graph, SearchConfig(ring_graph(9), 1, 3, mode="greedy"))
@@ -152,7 +140,7 @@ def test_exact_beats_or_matches_greedy():
 def test_greedy_is_deterministic_for_a_seed():
     skel = _skeleton(8, 1)
     forbidden = forbidden_differences(skel, 2)
-    cands = candidate_words(SearchConfig(ring_graph(8), 1, 3))
+    cands = range(1 << 7)
     graph = CompatibilityGraph(cands, forbidden)
     config = SearchConfig(ring_graph(8), 1, 3, mode="greedy", seed=5)
     first, _ = find_max_clique(graph, config)
@@ -178,6 +166,12 @@ def test_search_code_distance_one_keeps_all_candidates():
     code = search_code(SearchConfig(ring_graph(5), 2, 1))
     assert code.K == 8
     assert sorted(code.words) == list(range(8))
+
+
+def test_search_code_distance_one_returns_every_word_without_deep_recursion():
+    # the walk from 0 is already the lex-least maximum clique of 1024 vertices
+    code = search_code(SearchConfig(ring_graph(10), 0, 1))
+    assert code.words == tuple(range(1 << 10))
 
 
 def test_search_code_greedy_mode():
@@ -287,11 +281,15 @@ def _random_case(seed):
     return random_graph(rng, s + r), r, d
 
 
-# cases with at most 2^8 filtered candidates, where the reference is quick
+# cases with at most 2^8 filtered candidates, where the reference is quick;
+# ring6_r1_d2 and random seeds 24 and up raise the walk's clique, so their
+# least clique comes from the lex-least pass
 REFERENCE_CASES = {
     **{name: PARITY_CASES[name]
        for name in ("par10_r2_d3", "par11_r2_d3", "ring10_r3_d3", "ring11_r3_d3")},
-    **{f"random{seed}": _random_case(seed) for seed in range(24)},
+    "ring6_r1_d2": (ring_graph(6), 1, 2),
+    **{f"random{seed}": _random_case(seed)
+       for seed in (*range(24), 24, 27, 37, 48, 62, 74, 84)},
 }
 
 

@@ -1,5 +1,6 @@
 """Detection, correction and distance certification."""
 
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from ocws import (
     write_code_file,
 )
 from ocws.cli import main
+from ocws.verify import _pair_table
 from conftest import random_code, random_graph
 
 
@@ -286,3 +288,23 @@ def test_verify_prints_degenerate_witness_when_distance_holds(capsys, tmp_path):
         "WITNESS error=ZIIZIIYII words=(1,2) product=S7*g1*g2\n"
         "VERDICT fail n=9 K=2 r=2 d=3\n"
     )
+
+
+def _per_pair_table(code):
+    """Reference pair table: reduce every word-pair difference on its own."""
+    basis = gauge_generators(code).basis
+    table = {}
+    for (i, ci), (j, cj) in itertools.combinations(enumerate(code.words, start=1), 2):
+        table.setdefault(basis.canonical(ci ^ cj), (i, j))
+    return table
+
+
+def test_pair_table_matches_per_pair_reduction(code_9_3_1_3):
+    rng = random.Random(31)
+    codes = [code_9_3_1_3]
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        r = rng.randint(0, 2)
+        codes.append(random_code(rng, random_graph(rng, n), r, rng.randint(1, min(24, 1 << (n - r)))))
+    for code in codes:
+        assert list(_pair_table(code).items()) == list(_per_pair_table(code).items())
