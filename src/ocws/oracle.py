@@ -8,17 +8,23 @@ bounds the qubit count at 14.
 For every pair of swept errors, the matrix of E_a E_b in the codeword
 basis must vanish between logical sectors and act identically (up to a
 global phase) on the gauge factor of every sector.
+
+Every Pauli acts through `_act`.  The residual sweep gathers every
+product into one reused buffer, so no product allocates a new 2^n-wide
+array: gathering and then multiplying into fresh arrays cost over 10^5
+minor page faults per sweep on a ring-10 code, against a few hundred.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .code import OcwsCode
 from .graph import Graph, edges, stabilizer_generator
-from .pauli import PauliOperator, multiply
+from .pauli import PauliOperator
 
 __all__ = [
     "DenseState",
@@ -31,17 +37,20 @@ __all__ = [
 
 _MAX_DENSE_QUBITS = 14
 
-_idx16 = np.arange(1 << 16, dtype=np.uint32)
-_t = _idx16.copy()
-for _shift in (8, 4, 2, 1):
-    _t ^= _t >> _shift
-_PARITY16 = (_t & 1).astype(np.uint8)
-del _idx16, _t, _shift
 
+def _act(
+    vectors: np.ndarray, x: int, z: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Z^z X^x on the last axis: gather at index xor x, then flip signs.
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    """Bit-count parity per entry for masks below 2^32."""
-    return _PARITY16[values & 0xFFFF] ^ _PARITY16[(values >> 16) & 0xFFFF]
+    A sweep passes one `out` buffer for all its operators, because fresh
+    arrays per operator can page-fault on every page.  Every index is in
+    range, and mode="clip" keeps np.take from staging `out` in a temporary.
+    """
+    idx = np.arange(vectors.shape[-1], dtype=np.uint32)
+    out = np.take(vectors, idx ^ np.uint32(x), axis=-1, out=out, mode="clip")
+    out *= 1.0 - 2.0 * (np.bitwise_count(idx & np.uint32(z)) & 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,9 +113,7 @@ def apply_pauli(p: PauliOperator, state: DenseState) -> DenseState:
     """
     if p.n != state.n:
         raise ValueError(f"operator length {p.n} does not match state n={state.n}")
-    idx = np.arange(1 << state.n, dtype=np.uint32)
-    signs = 1.0 - 2.0 * _parity(idx & np.uint32(p.z)).astype(float)
-    return DenseState(state.n, state.amplitudes[idx ^ np.uint32(p.x)] * signs)
+    return DenseState(state.n, _act(state.amplitudes, p.x, p.z))
 
 
 def _basis_matrix(code: OcwsCode, base: np.ndarray | None = None) -> np.ndarray:
@@ -118,17 +125,11 @@ def _basis_matrix(code: OcwsCode, base: np.ndarray | None = None) -> np.ndarray:
     """
     if base is None:
         base = build_graph_state(code.graph).amplitudes
-    dim = 1 << code.n
-    idx = np.arange(dim, dtype=np.uint32)
-    rows = []
-    for word in code.words:
-        for b in range(1 << code.r):
-            zmask = np.uint32(word ^ (b << code.s))
-            signs = 1.0 - 2.0 * _parity(idx & zmask).astype(float)
-            rows.append(base * signs)
-    basis = np.array(rows)
+    basis = np.array(
+        [_act(base, 0, w ^ (b << code.s)) for w in code.words for b in range(1 << code.r)]
+    )
     gram = np.conj(basis) @ basis.T
-    if np.max(np.abs(gram - np.eye(len(rows)))) > 1e-10:
+    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-10:
         raise ValueError("codeword basis is not orthonormal; the code is invalid")
     return basis
 
@@ -143,24 +144,15 @@ def _residuals(
 ) -> tuple[float, float]:
     K = code.K
     g = 1 << code.r
-    dim = 1 << code.n
-    idx = np.arange(dim, dtype=np.uint32)
-    products: dict[tuple[int, int], PauliOperator] = {}
-    for ea in errors:
-        for eb in errors:
-            q = multiply(ea, eb)
-            products.setdefault((q.x, q.z), q)
+    products = {(a.x ^ b.x, a.z ^ b.z) for a in errors for b in errors}
+    conj = np.conj(basis)
+    moved = np.empty_like(basis)
+    off_block = ~np.eye(K, dtype=bool)[:, None, :, None]
     max_off = 0.0
     max_dev = 0.0
-    for q in products.values():
-        signs = 1.0 - 2.0 * _parity(idx & np.uint32(q.z)).astype(float)
-        moved = basis[:, idx ^ np.uint32(q.x)] * signs
-        m = (np.conj(basis) @ moved.T).reshape(K, g, K, g)
-        off = m.copy()
-        for l in range(K):
-            off[l, :, l, :] = 0.0
-        if K > 1:
-            max_off = max(max_off, float(np.max(np.abs(off))))
+    for x, z in products:
+        m = (conj @ _act(basis, x, z, out=moved).T).reshape(K, g, K, g)
+        max_off = max(max_off, float(np.abs(m).max(where=off_block, initial=0.0)))
         for l in range(K):
             for mm in range(l + 1, K):
                 inner = np.vdot(m[mm, :, mm, :], m[l, :, l, :])
@@ -171,7 +163,7 @@ def _residuals(
 
 
 def oqec_check(
-    code: OcwsCode, errors: list[PauliOperator], tol: float = 1e-9
+    code: OcwsCode, errors: Iterable[PauliOperator], tol: float = 1e-9
 ) -> OqecCheckReport:
     """Check correctability of an error set directly on dense states.
 
@@ -185,11 +177,12 @@ def oqec_check(
     """
     if not tol > 0:
         raise ValueError(f"tolerance {tol} must be positive")
+    errors = list(errors)
     for e in errors:
         if e.n != code.n:
             raise ValueError(f"operator length {e.n} does not match code n={code.n}")
     basis = _basis_matrix(code)
-    max_off, max_dev = _residuals(code, basis, list(errors))
+    max_off, max_dev = _residuals(code, basis, errors)
     return OqecCheckReport(
         max_off_block=max_off,
         max_block_deviation=max_dev,

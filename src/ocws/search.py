@@ -66,8 +66,11 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.r < self.graph.n:
             raise ValueError(f"gauge count r={self.r} out of range for n={self.graph.n}")
-        if self.target_distance < 1:
-            raise ValueError(f"target distance {self.target_distance} must be >= 1")
+        if not 1 <= self.target_distance <= self.graph.n + 1:
+            raise ValueError(
+                f"target distance {self.target_distance} out of range 1..{self.graph.n + 1}"
+                f" for n={self.graph.n}"
+            )
         if self.target_K is not None and self.target_K < 1:
             raise ValueError(f"target K {self.target_K} must be >= 1")
         if self.mode not in ("exact", "greedy"):

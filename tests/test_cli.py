@@ -213,6 +213,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         ["oracle-check", fixture_path("ring5_r2.ocws"), "--tol", "nan"],
         ["search", "--graph", "ring", "--n", "5", "--r", "1", "--distance", "3",
          "--budget", "nan"],
+        ["search", "--graph", "ring", "--n", "5", "--r", "1", "--distance", "7"],
     ]
     for argv in cases:
         code = main(argv)

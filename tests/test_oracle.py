@@ -16,14 +16,16 @@ from ocws import (
     format_pauli,
     gauge_generators,
     identity,
+    multiply,
     new_code,
     oqec_check,
     parse_pauli,
+    paulis_of_weight,
     ring_graph,
     stabilizer_generator,
 )
 from ocws.oracle import _basis_matrix, _residuals
-from conftest import random_code
+from conftest import random_code, random_graph
 
 _I = np.eye(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -156,10 +158,11 @@ def test_oqec_check_identity_only_gives_identity_blocks(code_8_1_1_3):
 
 
 def test_oqec_check_flags_broken_toy(broken_toy):
-    errors = enumerate_paulis(5, 1, include_identity=True)
-    report = oqec_check(broken_toy, errors)
-    assert not report.passed
-    assert report.max_off_block >= 0.5
+    # a generator is swept, not used up by the length check before the sweep
+    for errors in (enumerate_paulis(5, 1, include_identity=True), paulis_of_weight(5, 1)):
+        report = oqec_check(broken_toy, errors)
+        assert not report.passed
+        assert report.max_off_block >= 0.5
 
 
 def test_oqec_check_rejects_bad_tolerance(code_8_1_1_3):
@@ -179,17 +182,11 @@ def test_gauge_transformed_base_leaves_residuals(code_8_1_1_3):
         g = identity(code.n)
         for gen in gens:
             if rng.random() < 0.5:
-                g = _mul(g, gen)
+                g = multiply(g, gen)
         moved = apply_pauli(g, base)
         off1, dev1 = _residuals(code, _basis_matrix(code, moved.amplitudes), errors)
         assert abs(off1 - off0) <= 1e-10
         assert abs(dev1 - dev0) <= 1e-10
-
-
-def _mul(a, b):
-    from ocws import multiply
-
-    return multiply(a, b)
 
 
 def test_oracle_agrees_with_verifier_on_ring_codes():
@@ -212,6 +209,14 @@ def test_oracle_agrees_with_verifier_on_ring_codes():
         checked += 1
 
 
+def _split9_code():
+    rows = [0] * 9
+    for i, j in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (7, 8), (7, 9)]:
+        rows[i - 1] |= 1 << (j - 1)
+        rows[j - 1] |= 1 << (i - 1)
+    return new_code(Graph(9, tuple(rows)), 2, (0, 0b1001001))
+
+
 def test_oracle_scope_on_sector_signed_degenerate_errors():
     """A degenerate error with uneven word overlap defeats phase alignment.
 
@@ -219,11 +224,70 @@ def test_oracle_scope_on_sector_signed_degenerate_errors():
     block comparison cannot, since each sector block differs only by a
     sign that alignment absorbs.  This pins the documented scope split.
     """
-    rows = [0] * 9
-    for i, j in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (7, 8), (7, 9)]:
-        rows[i - 1] |= 1 << (j - 1)
-        rows[j - 1] |= 1 << (i - 1)
-    code = new_code(Graph(9, tuple(rows)), 2, (0, 0b1001001))
+    code = _split9_code()
     errors = enumerate_paulis(9, 1, include_identity=True)
     assert oqec_check(code, errors).passed
     assert not corrects_weight(code, 1)
+
+
+def _reference_residuals(code, basis, errors):
+    """The residual sweep with its own sign-and-gather and block masking.
+
+    Signs come from int.bit_count per index, products are deduplicated
+    through multiply, and the off-block maximum is taken over a copy with
+    the sector blocks zeroed, skipped when there is one sector.
+    """
+    K = code.K
+    g = 1 << code.r
+    dim = 1 << code.n
+    idx = np.arange(dim, dtype=np.uint32)
+    parity = np.array([i.bit_count() & 1 for i in range(dim)])
+    products = {}
+    for ea in errors:
+        for eb in errors:
+            q = multiply(ea, eb)
+            products.setdefault((q.x, q.z), q)
+    max_off = 0.0
+    max_dev = 0.0
+    for q in products.values():
+        signs = 1.0 - 2.0 * parity[idx & np.uint32(q.z)].astype(float)
+        moved = basis[:, idx ^ np.uint32(q.x)] * signs
+        m = (np.conj(basis) @ moved.T).reshape(K, g, K, g)
+        off = m.copy()
+        for l in range(K):
+            off[l, :, l, :] = 0.0
+        if K > 1:
+            max_off = max(max_off, float(np.max(np.abs(off))))
+        for l in range(K):
+            for mm in range(l + 1, K):
+                inner = np.vdot(m[mm, :, mm, :], m[l, :, l, :])
+                phase = inner / abs(inner) if abs(inner) > 0.0 else 1.0
+                dev = np.linalg.norm(m[l, :, l, :] - phase * m[mm, :, mm, :])
+                max_dev = max(max_dev, float(dev))
+    return max_off, max_dev
+
+
+def _residual_cases():
+    """Three codes per (n, r) at weight 1; the first also at weight 2 if n <= 7.
+
+    Weight 2 on all three would take about 20 s, mostly at n = 6 and 7.
+    """
+    rng = random.Random(47)
+    cases = [(_split9_code(), 1)]
+    for n in range(3, 10):
+        for r in range(3):
+            for i in range(3):
+                K = rng.randint(1, min(6, 1 << (n - r)))
+                code = random_code(rng, random_graph(rng, n), r, K)
+                cases += [(code, 1)] + [(code, 2)] * (i == 0 and n <= 7)
+    return cases
+
+
+def test_residuals_equal_reference_exactly():
+    cases = _residual_cases()
+    assert sum(code.K == 1 for code, _ in cases) >= 5
+    for code, w in cases:
+        basis = _basis_matrix(code)
+        errors = enumerate_paulis(code.n, w, include_identity=True)
+        got = _residuals(code, basis, errors)
+        assert got == _reference_residuals(code, basis, errors), (code, w)

@@ -1,10 +1,11 @@
-"""Search ops still print the stdout the benchmark pins for seed 1.
+"""Every benchmark op still prints the stdout pinned for seed 1.
 
 perfbench/expected.json pins the stdout sha256 of every op, and the
 workload generator its exit code.
-Without this test a change in clique order would fail only the benchmark
-run.  The ops' input files go to a per-test directory under the ignored
-perfbench/work/, as perfbench/run.py writes them, and are removed after.
+Without this test a change in clique order, a verdict line or a printed
+residual would fail only the benchmark run.  The ops' input files go to
+a per-test directory under the ignored perfbench/work/, as
+perfbench/run.py writes them, and are removed after.
 """
 
 import contextlib
@@ -33,8 +34,10 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["search-exact", "search-greedy"])
-def test_search_ops_match_pinned_digests(workload, monkeypatch):
+@pytest.mark.parametrize(
+    "workload", ["search-exact", "search-greedy", "gf2-verify", "oracle-dense"]
+)
+def test_ops_match_pinned_digests(workload, monkeypatch):
     pinned = json.loads((PERFBENCH / "expected.json").read_text())[workload]["1"]
     workdir = PERFBENCH / "work" / f"tier1-{workload}-{os.getpid()}"
     monkeypatch.chdir(ROOT)  # argv paths are relative to the checkout root

@@ -54,6 +54,10 @@ def test_config_validation():
         SearchConfig(ring_graph(5), 2, 3, time_budget=0)
     with pytest.raises(ValueError):
         SearchConfig(ring_graph(5), 2, 3, target_K=0)
+    with pytest.raises(ValueError, match="target distance 7"):
+        SearchConfig(ring_graph(5), 1, 7)
+    code = search_code(SearchConfig(ring_graph(5), 1, 6))  # d = n + 1 is reachable
+    assert (code.K, certify_distance(code)) == (1, 6)
 
 
 def test_fixture_word_pairs_are_compatible():
