@@ -11,11 +11,11 @@ therefore a Cayley graph over GF(2)^k, and a maximum clique is a
 maximum-size word set.  The parity constraints, the kernel basis and the
 coordinates all come from code._GF2Basis.  The coordinate map preserves
 order, so the lexicographically least clique maps to the least word set.
-Both search modes work on the same neighborhood bitmasks; the exact one is
-a decision branch-and-bound, raised from the greedy clique at vertex 0 and,
-only when a raise succeeded, run again for the lexicographically least
-clique.  Every found code is re-checked by one verifier sweep before it is
-returned.
+Both search modes work on the same neighborhood bitmasks.  The exact one
+raises the greedy clique at vertex 0 by a decision branch-and-bound that
+branches only on vertices colored at least the size sought and drops, by
+translation, each difference that fails to extend; the lex-least pass
+keeps every difference.  One verifier sweep re-checks each found code.
 """
 
 from __future__ import annotations
@@ -163,28 +163,19 @@ class _Deadline(Exception):
     pass
 
 
-class _RowCache:
-    """Neighborhood bitmasks, built lazily as translates of the one of 0."""
+class _Rows(dict):
+    """Neighborhood bitmasks by vertex; a missing row is the translate of the one of 0."""
 
     def __init__(self, graph: CompatibilityGraph):
-        self._rows: dict[int, int] = {}
+        super().__init__()
         m = len(graph)
-        base = ((1 << m) - 1) ^ 1
-        for f in graph.forbidden:
-            if f < m:
-                base &= ~(1 << f)
-        self._base = base
-        self._width_bits = (m - 1).bit_length()
+        self.width_bits = (m - 1).bit_length()
+        forbidden = sum(1 << f for f in graph.forbidden if f < m)
+        self[0] = ((1 << m) - 2) & ~forbidden
 
-    def translate(self, index: int) -> int:
-        """Neighborhood of the index, computed afresh and not kept."""
-        return _xor_translate(self._base, index, self._width_bits)
-
-    def row(self, index: int) -> int:
-        mask = self._rows.get(index)
-        if mask is None:
-            mask = self._rows[index] = self.translate(index)
-        return mask
+    def __missing__(self, index: int) -> int:
+        row = self[index] = _xor_translate(self[0], index, self.width_bits)
+        return row
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -192,29 +183,30 @@ def _check_deadline(deadline: float | None) -> None:
         raise _Deadline
 
 
-def _color_order(rows: _RowCache, pool: int) -> list[tuple[int, int]]:
-    """Greedy coloring of the pool; returns (vertex, color) sorted by color.
+def _branch_order(rows: _Rows, pool: int, size: int) -> list[int]:
+    """Vertices that a greedy coloring of the pool puts in color `size` or above.
 
-    The color number of a vertex bounds the largest clique containing it
-    within the pool, so iterating in descending color order lets the
-    branch-and-bound prune whole suffixes.
+    The list runs in ascending color and callers branch from its end.  The
+    vertices left off fill size - 1 color classes, so once every listed
+    vertex is branched on and dropped, the pool is refuted.
     """
-    order: list[tuple[int, int]] = []
-    remaining = pool
-    color = 0
-    while remaining:
-        color += 1
-        available = remaining
+    order: list[int] = []
+    color = 1
+    while pool:
+        available = pool
         while available:
-            v = (available & -available).bit_length() - 1
-            order.append((v, color))
-            remaining &= ~(1 << v)
-            available &= ~((1 << v) | rows.row(v))
+            bit = available & -available
+            v = bit.bit_length() - 1
+            if color >= size:
+                order.append(v)
+            pool ^= bit
+            available &= ~(rows[v] | bit)
+        color += 1
     return order
 
 
 def _exists_clique(
-    rows: _RowCache, pool: int, size: int, deadline: float | None
+    rows: _Rows, pool: int, size: int, deadline: float | None
 ) -> list[int] | None:
     """A clique of the given size within the pool, or None if there is none."""
     if size <= 0:
@@ -222,10 +214,8 @@ def _exists_clique(
     _check_deadline(deadline)
     if pool.bit_count() < size:
         return None
-    for v, bound in reversed(_color_order(rows, pool)):
-        if bound < size:
-            return None
-        found = _exists_clique(rows, pool & rows.row(v), size - 1, deadline)
+    for v in reversed(_branch_order(rows, pool, size)):
+        found = _exists_clique(rows, pool & rows[v], size - 1, deadline)
         if found is not None:
             found.append(v)
             return found
@@ -234,7 +224,7 @@ def _exists_clique(
 
 
 def _lex_least_clique(
-    rows: _RowCache, m: int, size: int, deadline: float | None
+    rows: _Rows, m: int, size: int, deadline: float | None
 ) -> list[int]:
     """Lexicographically least index clique of a size known to exist."""
     clique: list[int] = []
@@ -244,7 +234,7 @@ def _lex_least_clique(
         while available:
             v = (available & -available).bit_length() - 1
             above = ~((1 << (v + 1)) - 1)
-            narrowed = pool & rows.row(v) & above
+            narrowed = pool & rows[v] & above
             if _exists_clique(rows, narrowed, size - len(clique) - 1, deadline) is not None:
                 clique.append(v)
                 pool = narrowed
@@ -258,20 +248,30 @@ def _lex_least_clique(
 def _exact_max_clique(
     graph: CompatibilityGraph, deadline: float | None
 ) -> tuple[list[int], bool]:
-    rows = _RowCache(graph)
+    rows = _Rows(graph)
     # some maximum clique contains vertex 0 by vertex transitivity
-    neighbors = rows.row(0)
+    allowed = rows[0]
     best = [0]
-    pool = neighbors
+    pool = allowed
     while pool:
         v = (pool & -pool).bit_length() - 1
         best.append(v)
-        pool &= rows.row(v)
+        pool &= rows[v]
     walk = len(best)
     try:
-        # the first size with no clique through 0 proves the last one maximum
-        while (found := _exists_clique(rows, neighbors, len(best), deadline)) is not None:
-            best = [0, *found]
+        # the root coloring alone may refute a raise, so check the budget before it
+        _check_deadline(deadline)
+        order = _branch_order(rows, allowed, len(best))
+        while order:
+            v = order.pop()
+            pool = allowed & _xor_translate(allowed, v, rows.width_bits)
+            found = _exists_clique(rows, pool, len(best) - 1, deadline)
+            if found is None:
+                # translated by a, a larger clique with a ^ b = v would hold 0 and v
+                allowed &= ~(1 << v)
+            else:
+                best = [0, v, *found]
+                order = _branch_order(rows, allowed, len(best))
     except _Deadline:
         return sorted(best), False
     # the ascending walk is the lex-least maximal clique; if maximum, it is the answer
@@ -287,7 +287,7 @@ def _greedy_cliques(
     graph: CompatibilityGraph, seed: int, deadline: float | None
 ) -> tuple[list[int], bool]:
     rng = random.Random(seed)
-    rows = _RowCache(graph)
+    rows = _Rows(graph)
     everything = (1 << len(graph)) - 1
     best: list[int] = []
     order = list(graph.candidates)
@@ -300,7 +300,8 @@ def _greedy_cliques(
         for v in order:
             if pool >> v & 1:
                 clique.append(v)
-                pool &= rows.translate(v)
+                # uncached, so large s does not fill the row dict
+                pool &= _xor_translate(rows[0], v, rows.width_bits)
                 if not pool:
                     break
         low = min(clique)
@@ -316,14 +317,15 @@ def find_max_clique(
     """Largest clique of candidate words plus a completeness flag.
 
     Exact mode raises the greedy clique at vertex 0 one vertex at a time
-    with a decision branch-and-bound under a greedy coloring bound; the
-    first size it refutes proves the last one maximum.  The greedy clique
-    comes from the ascending walk (take the lowest vertex left in the
-    pool), so it is the lexicographically least maximal clique, and when
-    no raise succeeds it is returned as it is.  Otherwise the same routine
-    picks the lexicographically least clique of the raised size.  If the
-    time budget runs out first, the largest clique proven so far is
-    returned flagged incomplete.  Greedy mode takes the best of seeded
+    with a decision branch-and-bound that branches only on vertices whose
+    greedy color reaches the size sought; the first size it refutes proves
+    the last one maximum.  A neighbor v of 0 on no larger clique through 0
+    is a difference no larger clique holds, so the raise drops it for good.
+    The ascending walk (take the lowest vertex left in the pool) gives the
+    least maximal clique, returned when no raise succeeds; otherwise the
+    lex-least pass, which keeps every difference, picks the least clique of
+    the raised size.  A run out of time returns the largest clique proven so
+    far, flagged incomplete.  Greedy mode takes the best of seeded
     randomized restarts on the same neighborhood bitmasks and is never
     flagged complete.  Output is deterministic for a given mode and seed.
     """

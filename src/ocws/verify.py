@@ -18,10 +18,9 @@ code.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .code import OcwsCode, gauge_decomposition, gauge_generators
+from .code import OcwsCode, _GF2Basis, gauge_decomposition, gauge_generators
 # enumerate_paulis stays bound here for perfbench/spans.py, which wraps it
 from .induction import (  # noqa: F401
     enumerate_paulis,
@@ -73,13 +72,22 @@ def _pair_table(code: OcwsCode) -> dict[int, tuple[int, int]]:
     E and the pure-Z vector c_i xor c_j share a canonical residue, so one
     residue lookup per error replaces the per-pair membership tests.  The
     canonical map is linear, so each word is reduced once and a pair's
-    residue is the XOR of its two words' residues.
+    residue is the XOR of its two words' residues.  Every pair residue lies
+    in the span of the word residues, so rows stop once the table has them all.
     """
     basis = gauge_generators(code).basis
     residues = [basis.canonical(c) for c in code.words]
+    span = _GF2Basis()
+    for r in residues:
+        span.add(r)
+    # 0 is a key only when two words share a residue
+    keys = (1 << span.rank) - (len(set(residues)) == len(residues))
     table: dict[int, tuple[int, int]] = {}
-    for (i, ri), (j, rj) in itertools.combinations(enumerate(residues, start=1), 2):
-        table.setdefault(ri ^ rj, (i, j))
+    for i, ri in enumerate(residues, start=1):
+        if len(table) == keys:
+            break
+        for j, rj in enumerate(residues[i:], start=i + 1):
+            table.setdefault(ri ^ rj, (i, j))
     return table
 
 

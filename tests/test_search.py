@@ -25,6 +25,7 @@ from ocws import (
     search_code,
     write_code_file,
 )
+from ocws import search
 from ocws.search import _GREEDY_RESTARTS, _parity_kernel
 from conftest import WORDS_8_1, WORDS_9_3, bits, random_graph
 
@@ -314,6 +315,117 @@ def test_parity_search_k_equals_reference_max_clique(name):
     size = max(map(len, cliques))
     least = min(c for c in cliques if len(c) == size)
     assert search_code(SearchConfig(graph, r, d)).words == least
+
+
+def _reference_color_order(rows, pool):
+    """Greedy coloring of the pool as (vertex, color) pairs sorted by color."""
+    order = []
+    remaining = pool
+    color = 0
+    while remaining:
+        color += 1
+        available = remaining
+        while available:
+            v = (available & -available).bit_length() - 1
+            order.append((v, color))
+            remaining &= ~(1 << v)
+            available &= ~((1 << v) | rows[v])
+    return order
+
+
+def _reference_decision(rows, pool, size):
+    """Plain coloring branch-and-bound: a clique of the size in the pool, or None."""
+    if size <= 0:
+        return []
+    for v, bound in reversed(_reference_color_order(rows, pool)):
+        if bound < size:
+            return None
+        found = _reference_decision(rows, pool & rows[v], size - 1)
+        if found is not None:
+            return [*found, v]
+        pool &= ~(1 << v)
+    return None
+
+
+def _reference_exact(graph):
+    """Exact search that drops no difference: every raise searches all of N(0).
+
+    Rows are built pair by pair from the forbidden set.  The raise starts
+    from the ascending walk at vertex 0, and the lex-least pass runs after
+    a raise, as in the library.
+    """
+    m = len(graph)
+    rows = [
+        sum(1 << u for u in range(m) if u != v and u ^ v not in graph.forbidden)
+        for v in range(m)
+    ]
+    best, pool = [0], rows[0]
+    while pool:
+        best.append((pool & -pool).bit_length() - 1)
+        pool &= rows[best[-1]]
+    walk = len(best)
+    while (found := _reference_decision(rows, rows[0], len(best))) is not None:
+        best = [0, *found]
+    if len(best) > walk:
+        size, best, pool = len(best), [], (1 << m) - 1
+        while len(best) < size:
+            for v in range(m):
+                narrowed = pool & rows[v] & ~((2 << v) - 1)
+                if pool >> v & 1 and _reference_decision(
+                    rows, narrowed, size - len(best) - 1
+                ) is not None:
+                    best.append(v)
+                    pool = narrowed
+                    break
+    return sorted(best), True
+
+
+def _exact_reference_graphs():
+    # d=2 graphs with s = 5..6 and d=3 ones with s = 7..8 take several raises
+    for seed in range(48):
+        rng = random.Random(seed)
+        r = seed % 3
+        d, s = ((2, 5), (2, 6), (3, 7), (3, 8))[seed // 3 % 4]
+        skel = new_code(random_graph(rng, s + r), r, (0,))
+        yield CompatibilityGraph(range(1 << s), forbidden_differences(skel, d - 1))
+    # ring-10 r=0 at d=3 does not finish, so it is searched at d=4
+    for n, r in itertools.product((8, 9, 10), (0, 1, 2)):
+        d = 4 if (n, r) == (10, 0) else 3
+        yield CompatibilityGraph(range(1 << (n - r)), forbidden_differences(_skeleton(n, r), d - 1))
+
+
+def test_exact_matches_reference_without_difference_dropping():
+    config = SearchConfig(ring_graph(5), 2, 3)
+    for graph in _exact_reference_graphs():
+        assert find_max_clique(graph, config) == _reference_exact(graph)
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of a search-module function, recursive ones included."""
+    calls = []
+    inner = getattr(search, name)
+
+    def counting(*args):
+        calls.append(name)
+        return inner(*args)
+
+    monkeypatch.setattr(search, name, counting)
+    return calls
+
+
+def test_exact_node_counts(monkeypatch):
+    """Decision calls, a node count that does not depend on machine speed."""
+    decisions = _count_calls(monkeypatch, "_exists_clique")
+    colorings = _count_calls(monkeypatch, "_branch_order")
+    assert search_code(SearchConfig(ring_graph(9), 0, 3)).K == 12
+    # 5422 with no difference dropped and full colorings
+    assert len(decisions) < 5422
+    for n in (9, 10):
+        decisions.clear()
+        colorings.clear()
+        search_code(SearchConfig(ring_graph(n), 1, 3))
+        # the root coloring refutes the first raise on its own
+        assert (len(decisions), len(colorings)) == (0, 1)
 
 
 def _pairwise_greedy(graph, seed):

@@ -306,5 +306,15 @@ def test_pair_table_matches_per_pair_reduction(code_9_3_1_3):
         n = rng.randint(3, 9)
         r = rng.randint(0, 2)
         codes.append(random_code(rng, random_graph(rng, n), r, rng.randint(1, min(24, 1 << (n - r)))))
+    # every word of ring-8 r=0: the first row already holds all 255 keys of the span
+    every_word = new_code(ring_graph(8), 0, tuple(range(256)))
+    # words on qubits 1..s never share a residue, since pure-Z gauge elements
+    # lie on the gauge qubits, so a repeated word is set past the validation;
+    # its key 0 comes in row 3, after every nonzero key of the span
+    shared = new_code(ring_graph(6), 1, (0, 3, 5, 6))
+    object.__setattr__(shared, "words", (0, 3, 5, 6, 5))
+    codes += [every_word, shared]
     for code in codes:
         assert list(_pair_table(code).items()) == list(_per_pair_table(code).items())
+    assert len(_pair_table(every_word)) == 255
+    assert _pair_table(shared)[0] == (3, 5)
