@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .code import CodeFileError, OcwsCode, parse_code_file, write_code_file
 from .graph import Graph, from_adjacency, ring_graph
-from .induction import enumerate_paulis, gauge_reduce, induce
+from .induction import enumerate_paulis, induced_images, pauli_images
 from .oracle import oqec_check
 from .pauli import format_pauli, format_zstring
 from .search import SearchConfig, SearchError, search_code
@@ -137,18 +137,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_induce(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
-    if not 1 <= args.weight <= code.n:
-        raise ValueError(f"--weight {args.weight} out of range for n={code.n}")
+    n = code.n
+    if not 1 <= args.weight <= n:
+        raise ValueError(f"--weight {args.weight} out of range for n={n}")
     _comment(args, f"induce {args.codefile}: errors of weight <= {args.weight}")
+    # above its n raw induced bits an image spells its error in hex: 1 X, 2 Z, 3 Y
+    raw_x, raw_z = induced_images(code)
+    x_images = [raw | 1 << (n + 4 * q) for q, raw in enumerate(raw_x)]
+    z_images = [raw | 2 << (n + 4 * q) for q, raw in enumerate(raw_z)]
+    label_format, letters = f"0{n}x", str.maketrans("0123", "IXZY")
+    reduced_mask = (1 << code.s) - 1
     classes = set()
-    for e in enumerate_paulis(code.n, args.weight):
-        raw = induce(code, e)
-        reduced = gauge_reduce(code, raw)
-        classes.add(reduced)
-        print(
-            f"CLASS {format_pauli(e)} -> {format_zstring(raw, code.n)} "
-            f"-> {format_zstring(reduced, code.n)}"
-        )
+    for w in range(1, args.weight + 1):
+        for _support, _offset, images in pauli_images(x_images, z_images, w):
+            reduced = [image & reduced_mask for image in images]
+            classes.update(reduced)
+            sys.stdout.write("".join(
+                f"CLASS {format(image >> n, label_format)[::-1].translate(letters)} -> "
+                f"{format_zstring(image, n)} -> {format_zstring(red, n)}\n"
+                for image, red in zip(images, reduced)
+            ))
     _comment(args, f"{len(classes)} distinct reduced classes")
     return 0
 

@@ -7,20 +7,27 @@ code space exactly like a Z-type operator whose bit-vector is
 
 Reducing that vector modulo the Z-type gauge generators (clearing the last
 r bits) yields the effective classical error the words must discriminate.
+Both maps are GF(2)-linear: pauli_images sweeps Paulis as XORs of per-qubit
+images, and pauli_at rebuilds one operator only when it is needed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from .code import OcwsCode
-from .pauli import PauliOperator, identity
+from .pauli import PauliOperator
 
 __all__ = [
     "InducedError",
     "induce",
     "gauge_reduce",
+    "induced_images",
+    "pauli_images",
+    "pauli_at",
     "paulis_of_weight",
     "enumerate_paulis",
     "induced_error_set",
@@ -54,26 +61,58 @@ def gauge_reduce(code: OcwsCode, bits: int) -> int:
     return bits & ((1 << code.s) - 1)
 
 
+def induced_images(code: OcwsCode, mask: int = -1) -> tuple[list[int], list[int]]:
+    """Induced images of X and of Z on each qubit, ANDed with mask."""
+    return [row & mask for row in code.graph.rows], [(1 << q) & mask for q in range(code.n)]
+
+
+_TAIL = 6  # qubits whose letters one list of pauli_images spans: at most 3^6 images
+
+
+def _letters(x: int, z: int) -> tuple[int, int, int]:
+    """Images of X, Y and Z from those of X and Z, in canonical letter order."""
+    return x, x ^ z, z
+
+
+def pauli_images(x_images: list[int], z_images: list[int], w: int):
+    """Images of the weight-w Paulis under a GF(2)-linear map, in canonical order.
+
+    x_images[q] and z_images[q] are the images of X and Z on qubit q.  Yields
+    (support, offset, images); images runs on from position offset within
+    the support and spans the letters of its last min(w, 6) qubits.
+    """
+    letters = [_letters(x, z) for x, z in zip(x_images, z_images)]
+    for support in itertools.combinations(range(len(letters)), w):
+        tail = [0]
+        for q in support[-_TAIL:]:
+            tail = [t ^ image for t in tail for image in letters[q]]
+        for i, choice in enumerate(itertools.product(*(letters[q] for q in support[:-_TAIL]))):
+            prefix = reduce(xor, choice, 0)
+            yield support, i * len(tail), [prefix ^ t for t in tail] if prefix else tail
+
+
+def pauli_at(n: int, support: tuple[int, ...], index: int) -> PauliOperator:
+    """The Pauli at position index on a support, in pauli_images order."""
+    v = 0
+    for q in reversed(support):
+        index, letter = divmod(index, 3)
+        v ^= _letters(1 << (q + n), 1 << q)[letter]
+    return PauliOperator(n, x=v >> n, z=v & ((1 << n) - 1))
+
+
 def paulis_of_weight(n: int, w: int):
     """Yield the Paulis of weight exactly w in canonical order.
 
     Supports run in lexicographic order of ascending qubit index; within a
-    support, letters run through X, Y, Z per qubit in product order.
+    support, letters run through X, Y, Z per qubit in product order: this
+    is pauli_images on the symplectic vectors (x << n) | z.
     """
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range for n={n}")
-    if w == 0:
-        yield identity(n)
-        return
-    for support in itertools.combinations(range(n), w):
-        for letters in itertools.product("XYZ", repeat=w):
-            x = z = 0
-            for qubit, letter in zip(support, letters):
-                if letter != "Z":
-                    x |= 1 << qubit
-                if letter != "X":
-                    z |= 1 << qubit
-            yield PauliOperator(n, x=x, z=z)
+    sweep = pauli_images([1 << (q + n) for q in range(n)], [1 << q for q in range(n)], w)
+    for _support, _offset, images in sweep:
+        for v in images:
+            yield PauliOperator(n, x=v >> n, z=v & ((1 << n) - 1))
 
 
 def enumerate_paulis(
@@ -82,12 +121,8 @@ def enumerate_paulis(
     """All Paulis of weight <= max_weight, ordered by weight then support."""
     if not 0 <= max_weight <= n:
         raise ValueError(f"max_weight {max_weight} out of range for n={n}")
-    out: list[PauliOperator] = []
-    if include_identity:
-        out.append(identity(n))
-    for w in range(1, max_weight + 1):
-        out.extend(paulis_of_weight(n, w))
-    return out
+    first = 0 if include_identity else 1
+    return [e for w in range(first, max_weight + 1) for e in paulis_of_weight(n, w)]
 
 
 def induced_error_set(code: OcwsCode, max_weight: int) -> list[InducedError]:

@@ -28,6 +28,7 @@ __all__ = [
 
 _CHAR_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_CHAR = {bits: char for char, bits in _CHAR_BITS.items()}
+_ZSTRING = str.maketrans("01", "IZ")
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,8 @@ def parse_bits(text: str) -> tuple[int, int]:
 
 
 def format_bits(bits: int, n: int) -> str:
-    """Render a bit mask as a 0/1 string, qubit 1 leftmost."""
-    return "".join("1" if bits >> i & 1 else "0" for i in range(n))
+    """Render the low n bits of a mask as a 0/1 string, qubit 1 leftmost."""
+    return format(bits & ((1 << n) - 1), f"0{n}b")[::-1]
 
 
 def parse_zstring(text: str) -> tuple[int, int]:
@@ -144,5 +145,5 @@ def parse_zstring(text: str) -> tuple[int, int]:
 
 
 def format_zstring(bits: int, n: int) -> str:
-    """Render a bit mask as an I/Z string, qubit 1 leftmost."""
-    return "".join("Z" if bits >> i & 1 else "I" for i in range(n))
+    """Render the low n bits of a mask as an I/Z string, qubit 1 leftmost."""
+    return format(bits & ((1 << n) - 1), f"0{n}b")[::-1].translate(_ZSTRING)

@@ -28,9 +28,11 @@ from functools import lru_cache
 
 from .code import OcwsCode, _GF2Basis, new_code
 from .graph import Graph
-from .induction import enumerate_paulis, induced_error_set
-# certify_distance and corrects_weight stay bound here for perfbench/spans.py
-from .verify import _parity_mask, analyze, certify_distance, corrects_weight  # noqa: F401
+# enumerate_paulis, induced_error_set, certify_distance and corrects_weight
+# stay bound here for perfbench/spans.py
+from .induction import enumerate_paulis, induced_error_set  # noqa: F401
+from .induction import induced_images, pauli_images
+from .verify import _degenerate_errors, analyze, certify_distance, corrects_weight  # noqa: F401
 
 __all__ = [
     "SearchError",
@@ -110,12 +112,14 @@ def forbidden_differences(code_skeleton: OcwsCode, max_error_weight: int) -> fro
     by some error of that weight, so cliques avoiding it have certified
     distance > max_error_weight.
     """
-    if max_error_weight < 0:
-        raise ValueError(f"max error weight {max_error_weight} must be >= 0")
-    if max_error_weight == 0:
-        return frozenset()
-    classes = induced_error_set(code_skeleton, max_error_weight)
-    return frozenset(c.bits for c in classes) - {0}
+    if not 0 <= max_error_weight <= code_skeleton.n:
+        raise ValueError(f"max error weight {max_error_weight} out of range 0..{code_skeleton.n}")
+    images = induced_images(code_skeleton, (1 << code_skeleton.s) - 1)
+    found: set[int] = set()
+    for w in range(1, max_error_weight + 1):
+        for _support, _offset, errors in pauli_images(*images, w):
+            found.update(errors)
+    return frozenset(found - {0})
 
 
 @dataclass(frozen=True)
@@ -348,8 +352,9 @@ def _parity_kernel(skeleton: OcwsCode, t: int) -> list[int]:
     so the map a -> word preserves order.
     """
     constraints = _GF2Basis()
-    for e in enumerate_paulis(skeleton.n, min(t, skeleton.n)):
-        constraints.add(_parity_mask(skeleton, e))
+    for w in range(1, min(t, skeleton.n) + 1):
+        for _position, e in _degenerate_errors(skeleton, w):
+            constraints.add(e.x & ((1 << skeleton.s) - 1))
     rows = {row.bit_length() - 1: row for row in constraints.rows()}
     kernel = _GF2Basis()
     for j in range(skeleton.s):

@@ -11,9 +11,10 @@ Two independent routes are provided.  The operator route is one sweep,
 analyze(), over Paulis by ascending weight: it checks gauge-group
 membership of the w_i E w_j products and the degenerate action together,
 and certify_distance, corrects_weight and the CLI verdict all read its
-result.  The classical route reduces every error to its induced Z
-bit-vector and compares translated word sets.  They must agree on every
-code.
+result; it XORs per-qubit images and builds only its witnesses.  The
+classical route reduces every error to its induced Z bit-vector, one
+Pauli at a time, and compares translated word sets.  They must agree on
+every code.
 """
 
 from __future__ import annotations
@@ -21,14 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .code import OcwsCode, _GF2Basis, gauge_decomposition, gauge_generators
-# enumerate_paulis stays bound here for perfbench/spans.py, which wraps it
-from .induction import (  # noqa: F401
-    enumerate_paulis,
-    gauge_reduce,
-    induce,
-    induced_error_set,
-    paulis_of_weight,
-)
+from .induction import induced_error_set, induced_images, pauli_at, pauli_images
+# enumerate_paulis and paulis_of_weight stay bound here for perfbench/spans.py
+from .induction import enumerate_paulis, paulis_of_weight  # noqa: F401
 from .pauli import PauliOperator, multiply
 
 __all__ = [
@@ -139,8 +135,8 @@ class Analysis:
 
     failure is the first undetectable error, where the sweep stopped
     (None when every error up to weight n is detectable).  degenerate is
-    the first error of weight <= t that acts unevenly on the codeword
-    sectors; it is exhaustive only when distance > t.
+    the first error of weight <= t, up to and including that one, that
+    acts unevenly on the codeword sectors.
     """
 
     distance: int
@@ -148,25 +144,23 @@ class Analysis:
     degenerate: DegenerateFailure | None
 
 
-def _parity_mask(code: OcwsCode, e: PauliOperator) -> int:
-    """Word-block X support of a degenerate error, 0 when e is not degenerate.
+def _positions(sweep, keys):
+    """Positions (support, index) of the images in keys, in sweep order."""
+    for support, offset, images in sweep:
+        if not keys.isdisjoint(images):
+            yield from ((support, i) for i, image in enumerate(images, offset) if image in keys)
+
+
+def _degenerate_errors(code: OcwsCode, w: int):
+    """(position, error) of each weight-w degenerate error, in canonical order.
 
     An error whose induced class reduces to zero acts as a gauge element on
-    the code space, with sign (-1)^(x . c) on the sector of word c.  It acts
-    alike on every sector exactly when every word has even overlap with
-    this mask.
+    the code space, with sign (-1)^(x . c) on the sector of word c, so alike
+    on every sector exactly when every word has even overlap with its x.
     """
-    if gauge_reduce(code, induce(code, e)):
-        return 0
-    return e.x & ((1 << code.s) - 1)
-
-
-def _degenerate_failure(code: OcwsCode, e: PauliOperator) -> DegenerateFailure | None:
-    mask = _parity_mask(code, e)
-    for l, word in enumerate(code.words, start=1):
-        if (mask & word).bit_count() % 2:
-            return DegenerateFailure(e, l)
-    return None
+    reduced = induced_images(code, (1 << code.s) - 1)
+    for support, i in _positions(pauli_images(*reduced, w), {0}):
+        yield (support, i), pauli_at(code.n, support, i)
 
 
 def analyze(code: OcwsCode, t: int) -> Analysis:
@@ -175,21 +169,30 @@ def analyze(code: OcwsCode, t: int) -> Analysis:
     The sweep stops at the first undetectable error, whose weight is the
     certified distance (n + 1 when every nonidentity Pauli is detectable;
     with a single word no pair exists and only weights <= t are swept).
-    Errors of weight <= t are also checked for uneven degenerate action.
+    Errors of weight <= t, up to and including that one, are also checked
+    for uneven degenerate action.  Both checks XOR per-qubit images.
     """
     if t < 0:
         raise ValueError(f"weight bound t={t} must be >= 0")
-    t = min(t, code.n)
+    n = code.n
+    t = min(t, n)
     table = _pair_table(code)
+    canonical = gauge_generators(code).basis.canonical
+    residues = [canonical(1 << (q + n)) for q in range(n)], [canonical(1 << q) for q in range(n)]
     degenerate = None
-    for w in range(1, (code.n if table else t) + 1):
-        for e in paulis_of_weight(code.n, w):
-            if degenerate is None and w <= t:
-                degenerate = _degenerate_failure(code, e)
-            failure = _first_failure(code, e, table)
-            if failure is not None:
-                return Analysis(w, failure, degenerate)
-    return Analysis(code.n + 1, None, degenerate)
+    for w in range(1, (n if table else t) + 1):
+        hit = next(_positions(pauli_images(*residues, w), table.keys()), None)
+        if degenerate is None and w <= t:
+            for position, e in _degenerate_errors(code, w):
+                if hit is not None and position > hit:
+                    break
+                odd = (l for l, c in enumerate(code.words, start=1) if (e.x & c).bit_count() % 2)
+                if word := next(odd, 0):
+                    degenerate = DegenerateFailure(e, word)
+                    break
+        if hit is not None:
+            return Analysis(w, _first_failure(code, pauli_at(n, *hit), table), degenerate)
+    return Analysis(n + 1, None, degenerate)
 
 
 def corrects_weight(code: OcwsCode, t: int) -> bool:

@@ -1,12 +1,22 @@
 """End-to-end CLI behavior through main(argv), including exact output bytes."""
 
 import glob
+import random
 
 import pytest
 
-from ocws import new_code, parse_code_file, ring_graph, write_code_file
+from ocws import (
+    enumerate_paulis,
+    format_pauli,
+    gauge_reduce,
+    induce,
+    new_code,
+    parse_code_file,
+    ring_graph,
+    write_code_file,
+)
 from ocws.cli import main
-from conftest import fixture_path
+from conftest import fixture_path, random_code, random_graph
 
 RING5_CLASS_LINES = """\
 CLASS XIIII -> IZIIZ -> IZIII
@@ -102,6 +112,44 @@ def test_induce_text_mode_reports_class_count(capsys):
     lines = out.splitlines()
     assert sum(1 for ln in lines if ln.startswith("CLASS ")) == 24
     assert lines[-1] == "# 21 distinct reduced classes"
+
+
+def _zstring(bits, n):
+    return "".join("Z" if bits >> i & 1 else "I" for i in range(n))
+
+
+def _reference_induce(code, path, weight, fmt):
+    """`ocws induce` output built one Pauli at a time."""
+    lines = []
+    if fmt == "text":
+        lines.append(f"# induce {path}: errors of weight <= {weight}")
+    classes = set()
+    for e in enumerate_paulis(code.n, weight):
+        raw = induce(code, e)
+        reduced = gauge_reduce(code, raw)
+        classes.add(reduced)
+        lines.append(
+            f"CLASS {format_pauli(e)} -> {_zstring(raw, code.n)} -> {_zstring(reduced, code.n)}"
+        )
+    if fmt == "text":
+        lines.append(f"# {len(classes)} distinct reduced classes")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_induce_matches_per_pauli_reference(capsys, tmp_path):
+    rng = random.Random(303)
+    path = tmp_path / "code.ocws"
+    for _ in range(30):
+        n = rng.randint(3, 8)
+        r = rng.randint(0, min(3, n - 1))
+        code = random_code(rng, random_graph(rng, n), r, rng.randint(1, min(6, 1 << (n - r))))
+        path.write_text(write_code_file(code))
+        for weight in range(1, 4):
+            for fmt in ("text", "lines"):
+                status, out, _ = run(capsys, "induce", str(path), "--weight", str(weight),
+                                     "--format", fmt)
+                assert status == 0
+                assert out == _reference_induce(code, path, weight, fmt)
 
 
 def test_search_ring9_emits_verifiable_code(capsys, tmp_path):

@@ -5,22 +5,30 @@ here in full; they are the reference values the induce subcommand must
 reproduce byte for byte.
 """
 
+import itertools
+import random
+
 import pytest
 
 from ocws import (
     enumerate_paulis,
     format_pauli,
     format_zstring,
+    gauge_generators,
     gauge_reduce,
     induce,
     induced_error_set,
+    induced_images,
     multiply,
     new_code,
     parse_pauli,
+    pauli_at,
+    pauli_images,
     paulis_of_weight,
     ring_graph,
     weight,
 )
+from conftest import random_graph
 
 # raw and reduced induced Z-strings for every single-qubit Pauli on the
 # 5-ring with r = 2 (gauge qubits 4 and 5)
@@ -145,3 +153,67 @@ def test_zero_class_collects_gauge_like_errors(skeleton5):
 def test_induced_error_set_rejects_zero_weight(skeleton5):
     with pytest.raises(ValueError):
         induced_error_set(skeleton5, 0)
+
+
+def _reference_paulis(n, w):
+    """The canonical order written out: supports in combinations order, then
+    the letters X, Y, Z on each support qubit, the last qubit fastest."""
+    for support in itertools.combinations(range(n), w):
+        for letters in itertools.product("XYZ", repeat=w):
+            text = ["I"] * n
+            for q, letter in zip(support, letters):
+                text[q] = letter
+            yield parse_pauli("".join(text))
+
+
+def _rebuilt(n, sweep):
+    """Each image of a sweep with the Pauli that pauli_at puts at its position."""
+    out = []
+    position = {}
+    for support, offset, images in sweep:
+        assert offset == position.get(support, 0)
+        assert 1 <= len(images) <= 3**6
+        position[support] = offset + len(images)
+        out += [(pauli_at(n, support, i), v) for i, v in enumerate(images, offset)]
+    return out
+
+
+# (n, w) pairs: every weight for n <= 6, and supports wider than one list for n = 8
+_ORDER_CASES = [(n, w) for n in range(1, 7) for w in range(n + 1)] + [(8, 7), (8, 8)]
+
+
+@pytest.mark.parametrize("n, w", _ORDER_CASES)
+def test_pauli_images_follow_the_canonical_order(n, w):
+    symplectic = pauli_images([1 << (q + n) for q in range(n)], [1 << q for q in range(n)], w)
+    rebuilt = _rebuilt(n, symplectic)
+    paulis = [e for e, _ in rebuilt]
+    assert paulis == list(paulis_of_weight(n, w)) == list(_reference_paulis(n, w))
+    assert all(v == (e.x << n) | e.z for e, v in rebuilt)
+
+
+def _image_codes():
+    rng = random.Random(5)
+    codes = [new_code(ring_graph(8), 2, (0,))]
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        codes.append(new_code(random_graph(rng, n), rng.randint(0, n - 1), (0,)))
+    return codes
+
+
+def test_images_equal_the_per_pauli_maps():
+    for code in _image_codes():
+        n = code.n
+        basis = gauge_generators(code).basis
+        residues = (
+            [basis.canonical(1 << (q + n)) for q in range(n)],
+            [basis.canonical(1 << q) for q in range(n)],
+        )
+        raw = induced_images(code)
+        reduced = induced_images(code, (1 << code.s) - 1)
+        for w in range(n + 1) if n <= 6 else (7,):
+            for e, v in _rebuilt(n, pauli_images(*residues, w)):
+                assert v == basis.canonical((e.x << n) | e.z)
+            for e, v in _rebuilt(n, pauli_images(*raw, w)):
+                assert v == induce(code, e)
+            for e, v in _rebuilt(n, pauli_images(*reduced, w)):
+                assert v == gauge_reduce(code, induce(code, e))

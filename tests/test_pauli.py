@@ -1,5 +1,7 @@
 """Pauli bit-mask algebra."""
 
+import random
+
 import pytest
 
 from ocws import (
@@ -97,3 +99,15 @@ def test_zstring_round_trip():
     assert format_zstring(mask, 4) == "IZZI"
     with pytest.raises(ValueError):
         parse_zstring("IZX")
+
+
+def test_formats_equal_the_per_bit_rendering():
+    rng = random.Random(9)
+    for n in range(1, 41):
+        for mask in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n + 8)):
+            assert format_bits(mask, n) == "".join(
+                "1" if mask >> i & 1 else "0" for i in range(n)
+            )
+            assert format_zstring(mask, n) == "".join(
+                "Z" if mask >> i & 1 else "I" for i in range(n)
+            )

@@ -1,5 +1,7 @@
 """Every benchmark op still prints the stdout pinned for seed 1.
 
+The held-out seed 1009 runs too, on gf2-verify and search-exact.
+
 perfbench/expected.json pins the stdout sha256 of every op, and the
 workload generator its exit code.
 Without this test a change in clique order, a verdict line or a printed
@@ -34,15 +36,12 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize(
-    "workload", ["search-exact", "search-greedy", "gf2-verify", "oracle-dense"]
-)
-def test_ops_match_pinned_digests(workload, monkeypatch):
-    pinned = json.loads((PERFBENCH / "expected.json").read_text())[workload]["1"]
-    workdir = PERFBENCH / "work" / f"tier1-{workload}-{os.getpid()}"
+def _check_pinned(workload, seed, monkeypatch):
+    pinned = json.loads((PERFBENCH / "expected.json").read_text())[workload][str(seed)]
+    workdir = PERFBENCH / "work" / f"tier1-{workload}-{seed}-{os.getpid()}"
     monkeypatch.chdir(ROOT)  # argv paths are relative to the checkout root
     try:
-        manifest = _load_workloads().generate(workload, 1, ROOT, workdir)
+        manifest = _load_workloads().generate(workload, seed, ROOT, workdir)
         assert {op["key"] for op in manifest["ops"]} == set(pinned)
         for op in manifest["ops"]:
             out = io.StringIO()
@@ -53,3 +52,15 @@ def test_ops_match_pinned_digests(workload, monkeypatch):
             assert digest == pinned[op["key"]], op["key"]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+
+
+@pytest.mark.parametrize(
+    "workload", ["search-exact", "search-greedy", "gf2-verify", "oracle-dense"]
+)
+def test_ops_match_pinned_digests(workload, monkeypatch):
+    _check_pinned(workload, 1, monkeypatch)
+
+
+@pytest.mark.parametrize("workload", ["search-exact", "gf2-verify"])
+def test_held_out_seed_ops_match_pinned_digests(workload, monkeypatch):
+    _check_pinned(workload, 1009, monkeypatch)

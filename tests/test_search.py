@@ -100,6 +100,20 @@ def test_forbidden_differences_contains_every_swept_class():
     assert forbidden_differences(skel, 0) == frozenset()
 
 
+def test_forbidden_differences_equal_the_per_pauli_classes():
+    rng = random.Random(404)
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        skel = new_code(random_graph(rng, n), rng.randint(0, min(3, n - 1)), (0,))
+        assert forbidden_differences(skel, 0) == frozenset()
+        for w in range(1, 5):
+            classes = {c.bits for c in induced_error_set(skel, w)}
+            assert forbidden_differences(skel, w) == classes - {0}
+    for w in (-1, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            forbidden_differences(_skeleton(5, 1), w)
+
+
 def test_max_clique_on_complete_graph():
     graph = CompatibilityGraph(range(8), frozenset())
     clique, complete = find_max_clique(graph, SearchConfig(ring_graph(5), 2, 1))

@@ -173,37 +173,47 @@ def test_certify_distance_lower_bounds_word_weight(code_9_3_1_3):
     assert len(report.failures) == code_9_3_1_3.K - 1
 
 
-def _reference_scan(code):
-    """First undetectable error and every uneven degenerate error.
+def _reference_scan(code, max_weight):
+    """First undetectable error and every uneven degenerate error up to max_weight.
 
     Detection comes from detects_set over each weight in turn; degeneracy
     from a direct scan of the zero-class errors against every word
-    operator, listing (weight, first anticommuting word) in canonical order.
+    operator.  The undetectable error comes with its position in canonical
+    order, and the degenerate ones as (position, weight, first
+    anticommuting word), in canonical order.
     """
-    distance, failure = code.n + 1, None
+    distance, failure, stop = code.n + 1, None, None
+    before = 0
     for w in range(1, code.n + 1):
-        report = detects_set(code, paulis_of_weight(code.n, w))
+        errors = list(paulis_of_weight(code.n, w))
+        report = detects_set(code, errors)
         if report.failures:
-            distance, failure = w, report.failures[0]
+            failure = report.failures[0]
+            distance, stop = w, before + errors.index(failure.error)
             break
+        before += len(errors)
     degenerate = []
-    for e in enumerate_paulis(code.n, code.n):
+    for pos, e in enumerate(enumerate_paulis(code.n, max_weight)):
         if gauge_reduce(code, induce(code, e)) == 0:
             for l in range(code.K):
                 if not commutes(e, code.word_operator(l)):
-                    degenerate.append((weight(e), DegenerateFailure(e, l + 1)))
+                    degenerate.append((pos, weight(e), DegenerateFailure(e, l + 1)))
                     break
-    return distance, failure, degenerate
+    return distance, failure, stop, degenerate
 
 
-def _first_degenerate(degenerate, t):
-    return next((g for w, g in degenerate if w <= t), None)
+def _first_degenerate(scan, t):
+    """First uneven degenerate error of weight <= t at or before the first undetectable one."""
+    _distance, _failure, stop, degenerate = scan
+    return next(
+        (g for pos, w, g in degenerate if w <= t and (stop is None or pos <= stop)), None
+    )
 
 
 def _reference_verify_lines(code, scan, d):
-    distance, failure, degenerate = scan
+    distance, failure, _stop, _degenerate = scan
     t = (d - 1) // 2
-    first = _first_degenerate(degenerate, t)
+    first = _first_degenerate(scan, t)
     ok = distance >= d and (t == 0 or (distance > min(2 * t, code.n) and first is None))
     lines = []
     if not ok and failure is not None and distance < d:
@@ -234,18 +244,51 @@ def _sweep_cases():
     return codes
 
 
-def test_analyze_matches_reference_scan():
+def _complete5_code():
+    """K5 with r = 1, where the degenerate scan must stop at the failure.
+
+    XZIII is the first undetectable error.  YYIII, on the same support but
+    later in letter order, induces zero and anticommutes with word 1.
+    """
+    return new_code(Graph(5, tuple(0b11111 & ~(1 << i) for i in range(5))), 1, (0b01101, 1))
+
+
+def _analyze_cases():
+    """(code, largest t): the sweep cases at every t, larger codes at t <= 3."""
     for code in _sweep_cases():
-        distance, failure, degenerate = _reference_scan(code)
+        yield code, code.n + 1
+    rng = random.Random(707)
+    for _ in range(24):
+        n = rng.randint(7, 10)
+        r = rng.randint(0, 3)
+        K = min(rng.randint(2, 12), 1 << (n - r))
+        yield random_code(rng, random_graph(rng, n), r, K), 3
+    yield _complete5_code(), 3
+
+
+def test_analyze_matches_reference_scan():
+    for code, top in _analyze_cases():
+        scan = _reference_scan(code, min(top, code.n))
+        distance, failure, _stop, _degenerate = scan
         assert certify_distance(code) == distance
-        for t in range(code.n + 2):
+        for t in range(top + 1):
             a = analyze(code, t)
             assert (a.distance, a.failure) == (distance, failure)
-            first = _first_degenerate(degenerate, t)
-            if distance > t:
-                assert a.degenerate == first
+            first = _first_degenerate(scan, t)
+            assert a.degenerate == first
             expected = t == 0 or (distance > min(2 * t, code.n) and first is None)
             assert corrects_weight(code, t) == expected
+
+
+def test_degenerate_scan_stops_at_the_first_undetectable_error():
+    code = _complete5_code()
+    yy = parse_pauli("YYIII")
+    assert gauge_reduce(code, induce(code, yy)) == 0
+    assert not commutes(yy, code.word_operator(0))
+    a = analyze(code, 2)
+    assert a.distance == 2
+    assert format_pauli(a.failure.error) == "XZIII"
+    assert a.degenerate is None
 
 
 def test_cli_verify_matches_reference_lines(capsys, tmp_path):
@@ -253,7 +296,7 @@ def test_cli_verify_matches_reference_lines(capsys, tmp_path):
     edge_seen = False
     for code in _sweep_cases():
         path.write_text(write_code_file(code))
-        scan = _reference_scan(code)
+        scan = _reference_scan(code, code.n)
         for d in range(1, 2 * code.n + 3):
             ok, lines = _reference_verify_lines(code, scan, d)
             status = main(["verify", str(path), "--distance", str(d), "--format", "lines"])
