@@ -15,7 +15,7 @@ from pathlib import Path
 from .code import CodeFileError, OcwsCode, parse_code_file, write_code_file
 from .graph import Graph, from_adjacency, ring_graph
 from .induction import enumerate_paulis, induced_images, pauli_images
-from .oracle import oqec_check
+from .oracle import check_dense_size, oqec_check
 from .pauli import format_pauli, format_zstring
 from .search import SearchConfig, SearchError, search_code
 from .verify import analyze
@@ -187,6 +187,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
     if not 0 <= args.weight <= code.n:
         raise ValueError(f"--weight {args.weight} out of range for n={code.n}")
+    check_dense_size(code.n)  # before the sweep, which alone can exhaust memory
     errors = enumerate_paulis(code.n, args.weight, include_identity=True)
     _comment(
         args,

@@ -68,17 +68,15 @@ def from_adjacency(rows: Sequence[Iterable[int | str]]) -> Graph:
     n = len(rows)
     masks = []
     for i, row in enumerate(rows):
-        entries = [int(v) for v in row]
+        entries = list(row)
+        for j, v in enumerate(entries):
+            if v not in (0, 1, "0", "1"):
+                raise ValueError(f"invalid adjacency entry {v!r} at ({i + 1},{j + 1})")
         if len(entries) != n:
             raise ValueError(
                 f"non-square adjacency: row {i + 1} has {len(entries)} entries, expected {n}"
             )
-        mask = 0
-        for j, v in enumerate(entries):
-            if v not in (0, 1):
-                raise ValueError(f"invalid adjacency entry {v} at ({i + 1},{j + 1})")
-            mask |= v << j
-        masks.append(mask)
+        masks.append(sum(int(v) << j for j, v in enumerate(entries)))
     return Graph(n, tuple(masks))
 
 

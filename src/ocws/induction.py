@@ -8,7 +8,8 @@ code space exactly like a Z-type operator whose bit-vector is
 Reducing that vector modulo the Z-type gauge generators (clearing the last
 r bits) yields the effective classical error the words must discriminate.
 Both maps are GF(2)-linear: pauli_images sweeps Paulis as XORs of per-qubit
-images, and pauli_at rebuilds one operator only when it is needed.
+images, image_positions picks out the images in a key set, and pauli_at
+rebuilds one operator only when it is needed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "induced_images",
     "pauli_images",
     "pauli_at",
+    "image_positions",
     "paulis_of_weight",
     "enumerate_paulis",
     "induced_error_set",
@@ -98,6 +100,13 @@ def pauli_at(n: int, support: tuple[int, ...], index: int) -> PauliOperator:
         index, letter = divmod(index, 3)
         v ^= _letters(1 << (q + n), 1 << q)[letter]
     return PauliOperator(n, x=v >> n, z=v & ((1 << n) - 1))
+
+
+def image_positions(sweep, keys):
+    """(support, index, image) of each image of a pauli_images sweep in keys, in order."""
+    for support, offset, images in sweep:
+        if not keys.isdisjoint(images):
+            yield from ((support, i, v) for i, v in enumerate(images, offset) if v in keys)
 
 
 def paulis_of_weight(n: int, w: int):

@@ -29,6 +29,7 @@ from .pauli import PauliOperator
 __all__ = [
     "DenseState",
     "OqecCheckReport",
+    "check_dense_size",
     "build_graph_state",
     "apply_pauli",
     "codeword_basis",
@@ -82,6 +83,12 @@ class OqecCheckReport:
     passed: bool
 
 
+def check_dense_size(n: int) -> None:
+    """Reject qubit counts whose dense states would not fit in memory."""
+    if n > _MAX_DENSE_QUBITS:
+        raise ValueError(f"n={n} too large for dense states (limit {_MAX_DENSE_QUBITS})")
+
+
 def build_graph_state(graph: Graph) -> DenseState:
     """The unique common +1 eigenstate of the graph's stabilizer generators.
 
@@ -89,8 +96,7 @@ def build_graph_state(graph: Graph) -> DenseState:
     then checked against every generator to 1e-12.
     """
     n = graph.n
-    if n > _MAX_DENSE_QUBITS:
-        raise ValueError(f"n={n} too large for dense states (limit {_MAX_DENSE_QUBITS})")
+    check_dense_size(n)
     dim = 1 << n
     amp = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     idx = np.arange(dim, dtype=np.uint32)

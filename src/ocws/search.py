@@ -3,19 +3,21 @@
 Candidate words are the Z bit-vectors supported on the non-gauge qubits
 that have even overlap with the word-block X support of every degenerate
 error of weight <= t = (d - 1) // 2.  Those words form the parity kernel,
-a k-dimensional subspace of GF(2)^s.  Two candidates can coexist in a
-code of target distance d exactly when their XOR difference avoids every
-gauge-reduced induced error of weight <= d - 1.  In the coordinates of a
-fully reduced echelon basis of the kernel, the compatibility graph is
-therefore a Cayley graph over GF(2)^k, and a maximum clique is a
-maximum-size word set.  The parity constraints, the kernel basis and the
-coordinates all come from code._GF2Basis.  The coordinate map preserves
-order, so the lexicographically least clique maps to the least word set.
-Both search modes work on the same neighborhood bitmasks.  The exact one
-raises the greedy clique at vertex 0 by a decision branch-and-bound that
-branches only on vertices colored at least the size sought and drops, by
-translation, each difference that fails to extend; the lex-least pass
-keeps every difference.  One verifier sweep re-checks each found code.
+a k-dimensional subspace of GF(2)^s; the kernel's scan for those errors,
+the zero class of the reduced induced images, lives here.  Two candidates
+can coexist in a code of target distance d exactly when their XOR
+difference avoids every gauge-reduced induced error of weight <= d - 1.
+In the coordinates of a fully reduced echelon basis of the kernel, the
+compatibility graph is therefore a Cayley graph over GF(2)^k, and a
+maximum clique is a maximum-size word set.  The parity constraints, the
+kernel basis and the coordinates all come from code._GF2Basis.  The
+coordinate map preserves order, so the lexicographically least clique maps
+to the least word set.  Both search modes work on the same neighborhood
+bitmasks.  The exact one raises the greedy clique at vertex 0 by a
+decision branch-and-bound that branches only on vertices colored at least
+the size sought and drops, by translation, each difference that fails to
+extend; the lex-least pass keeps every difference.  One verifier sweep
+re-checks each found code.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .graph import Graph
 # enumerate_paulis, induced_error_set, certify_distance and corrects_weight
 # stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, induced_error_set  # noqa: F401
-from .induction import induced_images, pauli_images
-from .verify import _degenerate_errors, analyze, certify_distance, corrects_weight  # noqa: F401
+from .induction import image_positions, induced_images, pauli_at, pauli_images
+from .verify import analyze, certify_distance, corrects_weight  # noqa: F401
 
 __all__ = [
     "SearchError",
@@ -192,8 +194,11 @@ def _branch_order(rows: _Rows, pool: int, size: int) -> list[int]:
 
     The list runs in ascending color and callers branch from its end.  The
     vertices left off fill size - 1 color classes, so once every listed
-    vertex is branched on and dropped, the pool is refuted.
+    vertex is branched on and dropped, the pool is refuted.  A pool of
+    fewer than `size` vertices is refuted without touching a row.
     """
+    if pool.bit_count() < size:
+        return []
     order: list[int] = []
     color = 1
     while pool:
@@ -216,8 +221,6 @@ def _exists_clique(
     if size <= 0:
         return []
     _check_deadline(deadline)
-    if pool.bit_count() < size:
-        return None
     for v in reversed(_branch_order(rows, pool, size)):
         found = _exists_clique(rows, pool & rows[v], size - 1, deadline)
         if found is not None:
@@ -260,7 +263,8 @@ def _exact_max_clique(
     while pool:
         v = (pool & -pool).bit_length() - 1
         best.append(v)
-        pool &= rows[v]
+        # uncached, as in greedy: a walk over all 2^k vertices would cache every row
+        pool &= _xor_translate(allowed, v, rows.width_bits)
     walk = len(best)
     try:
         # the root coloring alone may refute a raise, so check the budget before it
@@ -351,20 +355,18 @@ def _parity_kernel(skeleton: OcwsCode, t: int) -> list[int]:
     the basis rows at the set bits of a) carries a's bits at the pivots,
     so the map a -> word preserves order.
     """
+    word_mask = (1 << skeleton.s) - 1
+    reduced = induced_images(skeleton, word_mask)
     constraints = _GF2Basis()
     for w in range(1, min(t, skeleton.n) + 1):
-        for _position, e in _degenerate_errors(skeleton, w):
-            constraints.add(e.x & ((1 << skeleton.s) - 1))
+        for support, i, _zero in image_positions(pauli_images(*reduced, w), {0}):
+            constraints.add(pauli_at(skeleton.n, support, i).x & word_mask)
     rows = {row.bit_length() - 1: row for row in constraints.rows()}
     kernel = _GF2Basis()
     for j in range(skeleton.s):
         if j not in rows:
             # free bit j, plus each pivot whose constraint row also holds bit j
-            v = 1 << j
-            for p, row in rows.items():
-                if row >> j & 1:
-                    v |= 1 << p
-            kernel.add(v)
+            kernel.add(1 << j | sum(1 << p for p, row in rows.items() if row >> j & 1))
     return kernel.rows()
 
 

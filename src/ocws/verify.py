@@ -3,18 +3,20 @@
 An error E is detectable when no pair of distinct word operators can be
 confused by it: w_i E w_j stays outside the gauge group for every i != j.
 Correcting all weight <= t errors additionally requires the degenerate
-weight <= t errors (those acting as a gauge element on the code space) to
-act identically on every codeword sector, which holds exactly when they
-commute with every word operator.
+errors, the gauge elements of weight <= t, to act alike on every codeword
+sector.  A gauge element with X support x acts on the sector of word c
+with sign (-1)^(x . c), so it acts alike exactly when it commutes with
+every word operator; one that anticommutes with a word blocks correction.
 
 Two independent routes are provided.  The operator route is one sweep,
-analyze(), over Paulis by ascending weight: it checks gauge-group
-membership of the w_i E w_j products and the degenerate action together,
-and certify_distance, corrects_weight and the CLI verdict all read its
-result; it XORs per-qubit images and builds only its witnesses.  The
-classical route reduces every error to its induced Z bit-vector, one
-Pauli at a time, and compares translated word sets.  They must agree on
-every code.
+analyze(), over the canonical gauge residues of the Paulis by ascending
+weight: a residue in the word-pair table marks an undetectable error and
+a zero residue a gauge element, so detection and degeneracy read the same
+sweep.  certify_distance, corrects_weight and the CLI verdict all read its
+result; it XORs per-qubit residues and builds only the Paulis it tests or
+reports.  The classical route reduces every error to its induced Z
+bit-vector, one Pauli at a time, and compares translated word sets.  They
+must agree on every code.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .code import OcwsCode, _GF2Basis, gauge_decomposition, gauge_generators
-from .induction import induced_error_set, induced_images, pauli_at, pauli_images
+from .induction import image_positions, induced_error_set, pauli_at, pauli_images
 # enumerate_paulis and paulis_of_weight stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, paulis_of_weight  # noqa: F401
 from .pauli import PauliOperator, multiply
@@ -135,8 +137,8 @@ class Analysis:
 
     failure is the first undetectable error, where the sweep stopped
     (None when every error up to weight n is detectable).  degenerate is
-    the first error of weight <= t, up to and including that one, that
-    acts unevenly on the codeword sectors.
+    the first gauge element of weight <= t, up to and including that one,
+    that anticommutes with a word operator.
     """
 
     distance: int
@@ -144,33 +146,16 @@ class Analysis:
     degenerate: DegenerateFailure | None
 
 
-def _positions(sweep, keys):
-    """Positions (support, index) of the images in keys, in sweep order."""
-    for support, offset, images in sweep:
-        if not keys.isdisjoint(images):
-            yield from ((support, i) for i, image in enumerate(images, offset) if image in keys)
-
-
-def _degenerate_errors(code: OcwsCode, w: int):
-    """(position, error) of each weight-w degenerate error, in canonical order.
-
-    An error whose induced class reduces to zero acts as a gauge element on
-    the code space, with sign (-1)^(x . c) on the sector of word c, so alike
-    on every sector exactly when every word has even overlap with its x.
-    """
-    reduced = induced_images(code, (1 << code.s) - 1)
-    for support, i in _positions(pauli_images(*reduced, w), {0}):
-        yield (support, i), pauli_at(code.n, support, i)
-
-
 def analyze(code: OcwsCode, t: int) -> Analysis:
-    """Sweep Paulis by ascending weight in canonical order, once.
+    """Sweep the canonical gauge residues of the Paulis by ascending weight, once.
 
-    The sweep stops at the first undetectable error, whose weight is the
+    The first residue that a word pair's difference shares is the first
+    undetectable error; the sweep stops there, and its weight is the
     certified distance (n + 1 when every nonidentity Pauli is detectable;
     with a single word no pair exists and only weights <= t are swept).
-    Errors of weight <= t, up to and including that one, are also checked
-    for uneven degenerate action.  Both checks XOR per-qubit images.
+    Until a degenerate witness is found, a zero residue of weight <= t, up
+    to and including that error, is a gauge element and is tested for odd
+    overlap with a word.
     """
     if t < 0:
         raise ValueError(f"weight bound t={t} must be >= 0")
@@ -179,19 +164,17 @@ def analyze(code: OcwsCode, t: int) -> Analysis:
     table = _pair_table(code)
     canonical = gauge_generators(code).basis.canonical
     residues = [canonical(1 << (q + n)) for q in range(n)], [canonical(1 << q) for q in range(n)]
+    table.setdefault(0, None)  # a gauge element, whether or not a word pair shares it
     degenerate = None
-    for w in range(1, (n if table else t) + 1):
-        hit = next(_positions(pauli_images(*residues, w), table.keys()), None)
-        if degenerate is None and w <= t:
-            for position, e in _degenerate_errors(code, w):
-                if hit is not None and position > hit:
-                    break
+    for w in range(1, (n if code.K > 1 else t) + 1):
+        for support, i, residue in image_positions(pauli_images(*residues, w), table.keys()):
+            if residue == 0 and w <= t and degenerate is None:
+                e = pauli_at(n, support, i)
                 odd = (l for l, c in enumerate(code.words, start=1) if (e.x & c).bit_count() % 2)
                 if word := next(odd, 0):
                     degenerate = DegenerateFailure(e, word)
-                    break
-        if hit is not None:
-            return Analysis(w, _first_failure(code, pauli_at(n, *hit), table), degenerate)
+            if table[residue] is not None:
+                return Analysis(w, _first_failure(code, pauli_at(n, support, i), table), degenerate)
     return Analysis(n + 1, None, degenerate)
 
 
@@ -199,9 +182,9 @@ def corrects_weight(code: OcwsCode, t: int) -> bool:
     """True iff every Pauli error of weight <= t is correctable.
 
     Requires detection of every nonidentity product of two such errors
-    (weight <= 2t) and uniform action of the degenerate weight <= t errors
-    across all codeword sectors.  Reads analyze(code, t), whose sweep runs
-    on to the first undetectable error even when that lies past 2t.
+    (weight <= 2t), and that no degenerate error (gauge element of weight
+    <= t) anticommutes with a word operator.  Reads analyze(code, t),
+    whose sweep runs on to the first undetectable error even past 2t.
     """
     a = analyze(code, t)
     return a.distance > min(2 * t, code.n) and a.degenerate is None

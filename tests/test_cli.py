@@ -267,6 +267,29 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         code = main(argv)
         capsys.readouterr()
         assert code == 2, argv
+    # an adjacency entry that is not 0 or 1 is named, 1-based
+    bad_graph = tmp_path / "bad.adj"
+    bad_graph.write_text("0a1\n101\n110\n")
+    code, _, err = run(capsys, "search", "--graph", f"file:{bad_graph}", "--r", "0",
+                       "--distance", "1")
+    assert (code, err) == (2, "error: invalid adjacency entry 'a' at (1,2)\n")
+    bad_file.write_text("n = 3\nr = 0\ngraph = adjacency:\n0 1 1\n101\n110\nword = 000\n")
+    code, _, err = run(capsys, "verify", str(bad_file))
+    assert (code, err) == (2, "error: bad adjacency block: invalid adjacency entry ' ' at (1,2)\n")
+
+
+def test_oracle_check_rejects_large_codes_before_enumerating(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "ring15.ocws"
+    path.write_text(write_code_file(new_code(ring_graph(15), 1, (0,))))
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("errors enumerated before the size check")
+
+    monkeypatch.setattr("ocws.cli.enumerate_paulis", enumerate_nothing)
+    code, out, err = run(capsys, "oracle-check", str(path), "--weight", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n=15 too large for dense states (limit 14)\n"
 
 
 def test_adjacency_size_mismatch_exits_two(capsys, tmp_path):

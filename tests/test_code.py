@@ -213,6 +213,10 @@ def test_code_file_errors():
         parse_code_file("n = 5\nr = 1\ngraph = ring\nword = 0000\n")
     with pytest.raises(CodeFileError, match="adjacency block ended"):
         parse_code_file("n = 3\nr = 0\ngraph = adjacency:\n011\n")
+    with pytest.raises(CodeFileError, match=r"invalid adjacency entry ' ' at \(1,2\)"):
+        parse_code_file("n = 3\nr = 0\ngraph = adjacency:\n0 1 1\n101\n110\nword = 000\n")
+    with pytest.raises(CodeFileError, match=r"invalid adjacency entry '2' at \(2,1\)"):
+        parse_code_file("n = 3\nr = 0\ngraph = adjacency:\n011\n201\n110\nword = 000\n")
 
 
 def test_fixture_files_parse(code_8_1_1_3, code_9_3_1_3, code_9_4_1_3, code_ring5_r2):

@@ -55,8 +55,12 @@ def test_from_adjacency_rejects_non_square():
 
 
 def test_from_adjacency_rejects_bad_entry():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"entry '2' at \(1,2\)"):
         from_adjacency(["021", "201", "110"])
+    with pytest.raises(ValueError, match=r"entry 2 at \(2,3\)"):
+        from_adjacency([[0, 1, 0], [1, 0, 2], [0, 1, 0]])
+    with pytest.raises(ValueError, match=r"entry 'a' at \(1,2\)"):
+        from_adjacency(["0a1", "101", "110"])
 
 
 def test_stabilizer_generator_is_x_at_vertex_z_on_neighbors():

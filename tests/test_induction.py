@@ -28,7 +28,7 @@ from ocws import (
     ring_graph,
     weight,
 )
-from conftest import random_graph
+from conftest import random_code, random_graph
 
 # raw and reduced induced Z-strings for every single-qubit Pauli on the
 # 5-ring with r = 2 (gauge qubits 4 and 5)
@@ -217,3 +217,30 @@ def test_images_equal_the_per_pauli_maps():
                 assert v == induce(code, e)
             for e, v in _rebuilt(n, pauli_images(*reduced, w)):
                 assert v == gauge_reduce(code, induce(code, e))
+
+
+def test_gauge_residues_are_the_reduced_induced_images():
+    """The operator sweep's per-qubit residues equal the search's reduced images.
+
+    Every pivot of the fully reduced gauge basis is an X bit or a gauge Z
+    bit, so reducing a Pauli clears its X part through the graph rows and
+    then the gauge bits, which leaves its reduced induced image; a word has
+    no pivot bit and is its own residue.
+    """
+    rng = random.Random(88)
+    codes = [new_code(ring_graph(5), 0, (0,)), new_code(ring_graph(6), 2, (0,))]
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        r = rng.choice([0, 0, rng.randint(0, n - 1)])
+        K = rng.choice([1, rng.randint(1, min(8, 1 << (n - r)))])
+        codes.append(random_code(rng, random_graph(rng, n), r, K))
+    assert any(c.r == 0 for c in codes) and any(c.K == 1 for c in codes)
+    for code in codes:
+        n = code.n
+        canonical = gauge_generators(code).basis.canonical
+        residues = (
+            [canonical(1 << (q + n)) for q in range(n)],
+            [canonical(1 << q) for q in range(n)],
+        )
+        assert residues == induced_images(code, (1 << code.s) - 1)
+        assert [canonical(c) for c in code.words] == list(code.words)

@@ -442,6 +442,25 @@ def test_exact_node_counts(monkeypatch):
         assert (len(decisions), len(colorings)) == (0, 1)
 
 
+def test_distance_one_search_caches_no_row(monkeypatch):
+    """At d = 1 the graph is complete: the walk takes every vertex and nothing raises it.
+
+    A walk that cached each member's row, or a root coloring of a pool too
+    small to hold a larger clique, would store 2^k rows of 2^k bits.
+    """
+    calls = []
+    missing = search._Rows.__missing__
+
+    def counting(rows, index):
+        calls.append(index)
+        return missing(rows, index)
+
+    monkeypatch.setattr(search._Rows, "__missing__", counting)
+    code = search_code(SearchConfig(ring_graph(12), 0, 1))
+    assert code.K == 1 << 12
+    assert calls == []
+
+
 def _pairwise_greedy(graph, seed):
     """Greedy multistart with a pairwise adjacency test per clique member."""
     rng = random.Random(seed)

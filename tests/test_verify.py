@@ -29,6 +29,7 @@ from ocws import (
     write_code_file,
 )
 from ocws.cli import main
+from ocws import verify
 from ocws.verify import _pair_table
 from conftest import random_code, random_graph
 
@@ -289,6 +290,30 @@ def test_degenerate_scan_stops_at_the_first_undetectable_error():
     assert a.distance == 2
     assert format_pauli(a.failure.error) == "XZIII"
     assert a.degenerate is None
+
+
+def test_analyze_sweeps_each_weight_once(monkeypatch, code_8_1_1_3, code_9_3_1_3,
+                                         code_9_4_1_3, code_ring5_r2):
+    """One pauli_images sweep per swept weight reads both detection and degeneracy."""
+    calls = []
+    sweep = verify.pauli_images
+
+    def counting(*args):
+        calls.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(verify, "pauli_images", counting)
+    codes = [code_8_1_1_3, code_9_3_1_3, code_9_4_1_3, code_ring5_r2, _pendant_gauge_code(),
+             new_code(_PENDANT5, 2, (0b100,)), _complete5_code()]
+    witnesses = 0
+    for code in codes:
+        for t in range(3):
+            calls.clear()
+            a = analyze(code, t)
+            swept = a.distance if a.failure is not None else code.n if code.K > 1 else t
+            assert calls == list(range(1, swept + 1)), (code, t)
+            witnesses += a.degenerate is not None
+    assert witnesses >= 3
 
 
 def test_cli_verify_matches_reference_lines(capsys, tmp_path):
