@@ -256,6 +256,8 @@ def parse_code_file(text: str) -> OcwsCode:
             if n is not None:
                 raise CodeFileError(f"line {lineno}: duplicate key 'n'")
             n = _parse_int(value, lineno, "n")
+            if n < 1:
+                raise CodeFileError(f"line {lineno}: n must be >= 1, got {n}")
         elif key == "r":
             if r is not None:
                 raise CodeFileError(f"line {lineno}: duplicate key 'r'")

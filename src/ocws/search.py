@@ -13,10 +13,11 @@ maximum clique is a maximum-size word set.  The parity constraints, the
 kernel basis and the coordinates all come from code._GF2Basis.  The
 coordinate map preserves order, so the lexicographically least clique maps
 to the least word set.  Both search modes work on the same neighborhood
-bitmasks.  The exact one raises the greedy clique at vertex 0 by a
-decision branch-and-bound that branches only on vertices colored at least
-the size sought and drops, by translation, each difference that fails to
-extend; the lex-least pass keeps every difference.  One verifier sweep
+bitmasks.  The exact one raises the ascending walk from vertex 0, which is
+the lexicode and is built a coset at a time, by a decision branch-and-bound
+that branches only on vertices colored at least the size sought and drops,
+by translation, each difference that fails to extend; the lex-least pass
+keeps every difference and resumes at vertex 0.  One verifier sweep
 re-checks each found code.
 """
 
@@ -26,7 +27,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .code import OcwsCode, _GF2Basis, new_code
 from .graph import Graph
@@ -144,27 +144,6 @@ class CompatibilityGraph:
         return len(self.candidates)
 
 
-@lru_cache(maxsize=None)
-def _low_half_pattern(bit: int, width_bits: int) -> int:
-    """Mask over 2^width_bits positions whose index has the given bit clear."""
-    step = 1 << bit
-    period = 2 * step
-    count = (1 << width_bits) // period
-    block = (1 << step) - 1
-    spaced_ones = ((1 << (period * count)) - 1) // ((1 << period) - 1)
-    return block * spaced_ones
-
-
-def _xor_translate(mask: int, t: int, width_bits: int) -> int:
-    """Permute a bitmask over 2^width_bits positions by p -> p xor t."""
-    for b in range(width_bits):
-        if t >> b & 1:
-            step = 1 << b
-            low = _low_half_pattern(b, width_bits)
-            mask = ((mask & low) << step) | ((mask >> step) & low)
-    return mask
-
-
 class _Deadline(Exception):
     pass
 
@@ -175,13 +154,25 @@ class _Rows(dict):
     def __init__(self, graph: CompatibilityGraph):
         super().__init__()
         m = len(graph)
-        self.width_bits = (m - 1).bit_length()
+        # half-mask b, of the vertices with bit b clear, is the one above XOR its shift by 2^b
+        halves = [(1 << (m >> 1)) - 1]
+        for b in reversed(range((m - 1).bit_length() - 1)):
+            halves.append(halves[-1] ^ halves[-1] << (1 << b))
+        self._halves = halves[::-1] if m > 1 else []
         forbidden = sum(1 << f for f in graph.forbidden if f < m)
         self[0] = ((1 << m) - 2) & ~forbidden
 
     def __missing__(self, index: int) -> int:
-        row = self[index] = _xor_translate(self[0], index, self.width_bits)
+        row = self[index] = self.translate(self[0], index)
         return row
+
+    def translate(self, mask: int, t: int) -> int:
+        """Permute a bitmask over the vertices by p -> p xor t."""
+        for b, low in enumerate(self._halves):
+            if t >> b & 1:
+                step = 1 << b
+                mask = ((mask & low) << step) | ((mask >> step) & low)
+        return mask
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -230,41 +221,37 @@ def _exists_clique(
     return None
 
 
-def _lex_least_clique(
-    rows: _Rows, m: int, size: int, deadline: float | None
-) -> list[int]:
-    """Lexicographically least index clique of a size known to exist."""
-    clique: list[int] = []
-    pool = (1 << m) - 1
+def _lex_least_clique(rows: _Rows, size: int, deadline: float | None) -> list[int]:
+    """Lexicographically least index clique of a size known to exist.
+
+    Translated by its least member, any clique holds 0 and sorts no later,
+    so the least one holds 0.  Each step takes the pool's lowest vertex if
+    a clique of the size left extends it there, and drops it otherwise.
+    """
+    clique = [0]
+    pool = rows[0]
     while len(clique) < size:
-        available = pool
-        while available:
-            v = (available & -available).bit_length() - 1
-            above = ~((1 << (v + 1)) - 1)
-            narrowed = pool & rows[v] & above
-            if _exists_clique(rows, narrowed, size - len(clique) - 1, deadline) is not None:
-                clique.append(v)
-                pool = narrowed
-                break
-            available &= ~(1 << v)
+        v = (pool & -pool).bit_length() - 1
+        narrowed = pool & rows[v]
+        if _exists_clique(rows, narrowed, size - len(clique) - 1, deadline) is not None:
+            clique.append(v)
+            pool = narrowed
         else:
-            raise AssertionError("clique of known size not found")
+            pool &= ~(1 << v)
     return clique
 
 
-def _exact_max_clique(
-    graph: CompatibilityGraph, deadline: float | None
-) -> tuple[list[int], bool]:
+def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tuple[list[int], bool]:
     rows = _Rows(graph)
     # some maximum clique contains vertex 0 by vertex transitivity
     allowed = rows[0]
-    best = [0]
-    pool = allowed
+    # the ascending walk from 0 is the lexicode (Conway & Sloane, "Lexicographic
+    # codes", 1986), a subspace, so it grows a coset at a time
+    best, pool = [0], allowed
     while pool:
         v = (pool & -pool).bit_length() - 1
-        best.append(v)
-        # uncached, as in greedy: a walk over all 2^k vertices would cache every row
-        pool &= _xor_translate(allowed, v, rows.width_bits)
+        best += [b ^ v for b in best]
+        pool &= rows.translate(pool, v)
     walk = len(best)
     try:
         # the root coloring alone may refute a raise, so check the budget before it
@@ -272,7 +259,7 @@ def _exact_max_clique(
         order = _branch_order(rows, allowed, len(best))
         while order:
             v = order.pop()
-            pool = allowed & _xor_translate(allowed, v, rows.width_bits)
+            pool = allowed & rows.translate(allowed, v)
             found = _exists_clique(rows, pool, len(best) - 1, deadline)
             if found is None:
                 # translated by a, a larger clique with a ^ b = v would hold 0 and v
@@ -280,14 +267,11 @@ def _exact_max_clique(
             else:
                 best = [0, v, *found]
                 order = _branch_order(rows, allowed, len(best))
+        # the walk is the lex-least maximal clique; if maximum, it is the answer
+        if len(best) > walk:
+            best = _lex_least_clique(rows, len(best), deadline)
     except _Deadline:
         return sorted(best), False
-    # the ascending walk is the lex-least maximal clique; if maximum, it is the answer
-    if len(best) > walk:
-        try:
-            best = _lex_least_clique(rows, len(graph), len(best), deadline)
-        except _Deadline:
-            pass
     return sorted(best), True
 
 
@@ -309,7 +293,7 @@ def _greedy_cliques(
             if pool >> v & 1:
                 clique.append(v)
                 # uncached, so large s does not fill the row dict
-                pool &= _xor_translate(rows[0], v, rows.width_bits)
+                pool &= rows.translate(rows[0], v)
                 if not pool:
                     break
         low = min(clique)
@@ -324,17 +308,18 @@ def find_max_clique(
 ) -> tuple[list[int], bool]:
     """Largest clique of candidate words plus a completeness flag.
 
-    Exact mode raises the greedy clique at vertex 0 one vertex at a time
-    with a decision branch-and-bound that branches only on vertices whose
-    greedy color reaches the size sought; the first size it refutes proves
-    the last one maximum.  A neighbor v of 0 on no larger clique through 0
-    is a difference no larger clique holds, so the raise drops it for good.
-    The ascending walk (take the lowest vertex left in the pool) gives the
-    least maximal clique, returned when no raise succeeds; otherwise the
-    lex-least pass, which keeps every difference, picks the least clique of
-    the raised size.  A run out of time returns the largest clique proven so
-    far, flagged incomplete.  Greedy mode takes the best of seeded
-    randomized restarts on the same neighborhood bitmasks and is never
+    Exact mode starts from the ascending walk at vertex 0 (the lowest vertex
+    left in the pool joins).  The walk is the lexicode, a subspace built a
+    coset at a time, and the least maximal clique.  A decision
+    branch-and-bound that branches only on vertices whose greedy color
+    reaches the size sought raises it one vertex at a time; the first size
+    refuted proves the last one maximum.  A neighbor v of 0 on no larger
+    clique through 0 is a difference no larger clique holds, so the raise
+    drops it for good.  After a raise, the lex-least pass, which keeps every
+    difference, picks the least clique of the raised size, starting at
+    vertex 0.  A run out of time, in the raise or in that pass, returns the
+    largest clique proven so far, flagged incomplete.  Greedy mode takes the
+    best of seeded randomized restarts on the same bitmasks and is never
     flagged complete.  Output is deterministic for a given mode and seed.
     """
     deadline = None

@@ -276,6 +276,14 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     bad_file.write_text("n = 3\nr = 0\ngraph = adjacency:\n0 1 1\n101\n110\nword = 000\n")
     code, _, err = run(capsys, "verify", str(bad_file))
     assert (code, err) == (2, "error: bad adjacency block: invalid adjacency entry ' ' at (1,2)\n")
+    ring5 = fixture_path("ring5_r2.ocws")
+    for argv, message in (
+        (["verify", ring5, "--distance", "0"], "distance 0 must be >= 1"),
+        (["oracle-check", ring5, "--weight", "-1"], "--weight -1 out of range for n=5"),
+        (["oracle-check", ring5, "--weight", "6"], "--weight 6 out of range for n=5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_oracle_check_rejects_large_codes_before_enumerating(capsys, tmp_path, monkeypatch):

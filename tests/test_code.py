@@ -8,13 +8,16 @@ import pytest
 from ocws import (
     CodeFileError,
     PauliOperator,
+    detects,
     format_pauli,
     gauge_decomposition,
     gauge_generators,
     identity,
     in_gauge_group,
+    induce,
     multiply,
     new_code,
+    oqec_check,
     parse_code_file,
     parse_pauli,
     ring_graph,
@@ -158,6 +161,15 @@ def test_identity_decomposition(code_8_1_1_3):
 def test_length_mismatch_rejected(code_8_1_1_3):
     with pytest.raises(ValueError):
         in_gauge_group(code_8_1_1_3, identity(5))
+    for check in (
+        lambda e: in_gauge_group(code_8_1_1_3, e),
+        lambda e: induce(code_8_1_1_3, e),
+        lambda e: detects(code_8_1_1_3, e),
+        lambda e: oqec_check(code_8_1_1_3, [identity(8), e]),
+    ):
+        with pytest.raises(ValueError) as info:
+            check(identity(5))
+        assert str(info.value) == "operator length 5 does not match code n=8"
 
 
 def test_code_file_round_trip(code_8_1_1_3, code_9_3_1_3, code_ring5_r2):
@@ -217,6 +229,32 @@ def test_code_file_errors():
         parse_code_file("n = 3\nr = 0\ngraph = adjacency:\n0 1 1\n101\n110\nword = 000\n")
     with pytest.raises(CodeFileError, match=r"invalid adjacency entry '2' at \(2,1\)"):
         parse_code_file("n = 3\nr = 0\ngraph = adjacency:\n011\n201\n110\nword = 000\n")
+    adjacency = "graph = adjacency:\n011\n101\n110\n"
+    for text, message in (
+        # n < 1 fails on its own line, before an adjacency block can take the next one
+        ("n = 0\ngraph = adjacency:\nword = 0\n", "line 1: n must be >= 1, got 0"),
+        ("n = -2\nr = 0\n", "line 1: n must be >= 1, got -2"),
+        ("n = 3\nr = 0\nr = 1\n", "line 3: duplicate key 'r'"),
+        ("n = 3\ndistance = 1\ndistance = 2\n", "line 3: duplicate key 'distance'"),
+        ("n = 3\ngraph = ring\ngraph = ring\n", "line 3: duplicate key 'graph'"),
+        ("n = 3\n" + adjacency + "graph = ring\n", "line 6: duplicate key 'graph'"),
+        ("n = 3\ngraph = star\n", "line 2: graph must be 'ring' or 'adjacency:', got 'star'"),
+        ("graph = adjacency:\n", "line 1: 'n' must precede 'graph'"),
+        ("word = 000\n", "line 1: 'n' must precede 'word'"),
+        ("n = 3\ngraph = ring\nword = 000\n", "missing required key 'r'"),
+        ("n = 3\nr = 0\nword = 000\n", "missing required key 'graph'"),
+        ("n = 3\nr = 0\n" + adjacency, "missing required key 'word'"),
+        ("n = three\n", "line 1: n must be an integer, got 'three'"),
+        ("n = 3\nr = 1.5\n", "line 2: r must be an integer, got '1.5'"),
+        ("n = 3\nr = 0\ngraph = ring\nword = IZ0\n",
+         "line 4: word 'IZ0' is neither a bit string nor an I/Z string"),
+        ("n = 2\nr = 0\ngraph = ring\n", "ring graph needs n >= 3, got n=2"),
+        ("n = 3\nr = 0\ngraph = ring\ndistance = 0\nword = 000\n",
+         "claimed distance 0 must be >= 1"),
+    ):
+        with pytest.raises(CodeFileError) as info:
+            parse_code_file(text)
+        assert str(info.value) == message, text
 
 
 def test_fixture_files_parse(code_8_1_1_3, code_9_3_1_3, code_9_4_1_3, code_ring5_r2):

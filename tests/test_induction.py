@@ -113,6 +113,10 @@ def test_enumerate_paulis_rejects_bad_weight():
         enumerate_paulis(3, 4)
     with pytest.raises(ValueError):
         enumerate_paulis(3, -1)
+    for w in (-1, 4):
+        with pytest.raises(ValueError) as info:
+            next(paulis_of_weight(3, w))
+        assert str(info.value) == f"weight {w} out of range for n=3"
 
 
 def test_paulis_of_weight_matches_enumeration():

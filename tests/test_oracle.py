@@ -168,6 +168,9 @@ def test_oqec_check_flags_broken_toy(broken_toy):
 def test_oqec_check_rejects_bad_tolerance(code_8_1_1_3):
     with pytest.raises(ValueError):
         oqec_check(code_8_1_1_3, [identity(8)], tol=0)
+    with pytest.raises(ValueError) as info:
+        oqec_check(code_8_1_1_3, [identity(8)], tol=float("nan"))
+    assert str(info.value) == "tolerance nan must be positive"
 
 
 def test_gauge_transformed_base_leaves_residuals(code_8_1_1_3):

@@ -34,6 +34,10 @@ def _skeleton(n, r):
     return new_code(ring_graph(n), r, (0,))
 
 
+def _ring_graph(n, r, d):
+    return CompatibilityGraph(range(1 << (n - r)), forbidden_differences(_skeleton(n, r), d - 1))
+
+
 def _weight1_classes(code):
     return [c.bits for c in induced_error_set(code, 1)]
 
@@ -405,12 +409,36 @@ def _exact_reference_graphs():
     # ring-10 r=0 at d=3 does not finish, so it is searched at d=4
     for n, r in itertools.product((8, 9, 10), (0, 1, 2)):
         d = 4 if (n, r) == (10, 0) else 3
-        yield CompatibilityGraph(range(1 << (n - r)), forbidden_differences(_skeleton(n, r), d - 1))
+        yield _ring_graph(n, r, d)
 
 
 def test_exact_matches_reference_without_difference_dropping():
     config = SearchConfig(ring_graph(5), 2, 3)
     for graph in _exact_reference_graphs():
+        assert find_max_clique(graph, config) == _reference_exact(graph)
+
+
+def _forbidden_set_graphs():
+    """Every forbidden set for k <= 3, then random ones of every density for k = 4..6."""
+    for k in range(4):
+        nonzero = range(1, 1 << k)
+        for chosen in itertools.product((False, True), repeat=len(nonzero)):
+            yield CompatibilityGraph(
+                range(1 << k), frozenset(f for f, c in zip(nonzero, chosen) if c)
+            )
+    rng = random.Random(9)
+    for k in (4, 5, 6):
+        for _ in range(40):
+            density = rng.random()
+            yield CompatibilityGraph(
+                range(1 << k), frozenset(f for f in range(1, 1 << k) if rng.random() < density)
+            )
+
+
+def test_coset_walk_matches_the_ascending_walk():
+    """The walk adds a coset at a time; the reference adds one lowest vertex at a time."""
+    config = SearchConfig(ring_graph(5), 2, 3)
+    for graph in _forbidden_set_graphs():
         assert find_max_clique(graph, config) == _reference_exact(graph)
 
 
@@ -433,7 +461,7 @@ def test_exact_node_counts(monkeypatch):
     colorings = _count_calls(monkeypatch, "_branch_order")
     assert search_code(SearchConfig(ring_graph(9), 0, 3)).K == 12
     # 5422 with no difference dropped and full colorings
-    assert len(decisions) < 5422
+    assert len(decisions) == 3527
     for n in (9, 10):
         decisions.clear()
         colorings.clear()
@@ -461,6 +489,66 @@ def test_distance_one_search_caches_no_row(monkeypatch):
     assert calls == []
 
 
+def _count_translates(monkeypatch):
+    calls = []
+    translate = search._Rows.translate
+
+    def counting(rows, mask, t):
+        calls.append(t)
+        return translate(rows, mask, t)
+
+    monkeypatch.setattr(search._Rows, "translate", counting)
+    return calls
+
+
+def test_distance_one_walk_translates_once_per_dimension(monkeypatch):
+    """The walk doubles its clique with each translate, so 2^12 words take 12."""
+    calls = _count_translates(monkeypatch)
+    assert search_code(SearchConfig(ring_graph(12), 0, 1)).K == 1 << 12
+    assert len(calls) <= 12
+
+
+def test_budget_ending_in_the_lex_least_pass_flags_incomplete(monkeypatch):
+    graph = _ring_graph(8, 0, 3)
+    config = SearchConfig(ring_graph(8), 0, 3)
+    lex_least = _count_calls(monkeypatch, "_lex_least_clique")
+    clique, complete = find_max_clique(graph, config)
+    # the raise beats the walk, so the lex-least pass runs
+    assert complete and len(lex_least) == 1
+
+    def out_of_time(*args):
+        raise search._Deadline
+
+    monkeypatch.setattr(search, "_lex_least_clique", out_of_time)
+    raised, complete = find_max_clique(graph, config)
+    assert not complete
+    assert len(raised) == len(clique)
+
+
+class _Clock:
+    """Stands in for the time module: monotonic() returns the given readings, then the last."""
+
+    def __init__(self, *readings):
+        self.readings = list(readings)
+
+    def monotonic(self):
+        return self.readings.pop(0) if len(self.readings) > 1 else self.readings[0]
+
+
+def test_greedy_budget_stops_after_a_whole_restart(monkeypatch):
+    graph = _ring_graph(9, 1, 3)
+    config = SearchConfig(ring_graph(9), 1, 3, mode="greedy", seed=1, time_budget=1.0)
+    monkeypatch.setattr(search, "_GREEDY_RESTARTS", 1)
+    one_restart = find_max_clique(graph, config)
+    assert one_restart[1] is False
+    monkeypatch.setattr(search, "_GREEDY_RESTARTS", _GREEDY_RESTARTS)
+    assert one_restart != find_max_clique(graph, config)
+    # the deadline (0 + 1.0) passes after the first restart, then before the first
+    for readings in ((0.0, 0.0, 2.0), (0.0, 2.0)):
+        monkeypatch.setattr(search, "time", _Clock(*readings))
+        assert find_max_clique(graph, config) == one_restart
+
+
 def _pairwise_greedy(graph, seed):
     """Greedy multistart with a pairwise adjacency test per clique member."""
     rng = random.Random(seed)
@@ -481,7 +569,7 @@ def _pairwise_greedy(graph, seed):
 
 def _greedy_graphs():
     for n, r, d in ((8, 1, 3), (9, 1, 3), (10, 2, 3), (9, 0, 4), (7, 1, 2)):
-        yield CompatibilityGraph(range(1 << (n - r)), forbidden_differences(_skeleton(n, r), d - 1))
+        yield _ring_graph(n, r, d)
     rng = random.Random(3)
     for k in (2, 4, 6, 7):
         yield CompatibilityGraph(range(1 << k), frozenset(rng.sample(range(1, 1 << k), k)))

@@ -106,6 +106,10 @@ def test_weight_zero_is_trivially_correctable(code_8_1_1_3):
     assert classical_route_corrects(code_8_1_1_3, 0)
     with pytest.raises(ValueError):
         corrects_weight(code_8_1_1_3, -1)
+    for check in (corrects_weight, classical_route_corrects):
+        with pytest.raises(ValueError) as info:
+            check(code_8_1_1_3, -1)
+        assert str(info.value) == "weight bound t=-1 must be >= 0"
 
 
 def test_fixture_codes_do_not_correct_two_errors(code_8_1_1_3, code_9_3_1_3):
