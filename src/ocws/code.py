@@ -266,6 +266,8 @@ def parse_code_file(text: str) -> OcwsCode:
             if distance is not None:
                 raise CodeFileError(f"line {lineno}: duplicate key 'distance'")
             distance = _parse_int(value, lineno, "distance")
+            if distance < 1:
+                raise CodeFileError(f"line {lineno}: claimed distance {distance} must be >= 1")
         elif key == "graph":
             if graph is not None or pending_rows is not None:
                 raise CodeFileError(f"line {lineno}: duplicate key 'graph'")
@@ -275,7 +277,7 @@ def parse_code_file(text: str) -> OcwsCode:
                 try:
                     graph = ring_graph(n)
                 except ValueError as exc:
-                    raise CodeFileError(str(exc)) from exc
+                    raise CodeFileError(f"line {lineno}: {exc}") from exc
             elif value == "adjacency:":
                 if n is None:
                     raise CodeFileError(f"line {lineno}: 'n' must precede 'graph'")

@@ -16,9 +16,12 @@ to the least word set.  Both search modes work on the same neighborhood
 bitmasks.  The exact one raises the ascending walk from vertex 0, which is
 the lexicode and is built a coset at a time, by a decision branch-and-bound
 that branches only on vertices colored at least the size sought and drops,
-by translation, each difference that fails to extend; the lex-least pass
-keeps every difference and resumes at vertex 0.  One verifier sweep
-re-checks each found code.
+by translation, each difference that fails to extend.  In the root branch
+on v, the translation by v maps the pool onto itself, so each refuted child
+drops with its twin, the child xor v.  Colorings clear a class with one AND
+of a cached closed non-neighborhood mask per vertex and check the deadline
+once per class.  The lex-least pass keeps every difference, prunes no
+twin and resumes at vertex 0.  One verifier sweep re-checks each found code.
 """
 
 from __future__ import annotations
@@ -149,7 +152,11 @@ class _Deadline(Exception):
 
 
 class _Rows(dict):
-    """Neighborhood bitmasks by vertex; a missing row is the translate of the one of 0."""
+    """Closed non-neighborhood masks, all vertices but v and its row, by vertex v.
+
+    Coloring clears a vertex and its neighbors from a class with one AND of
+    its mask.  Every row is an XOR translate of `base`, the row of vertex 0.
+    """
 
     def __init__(self, graph: CompatibilityGraph):
         super().__init__()
@@ -160,11 +167,13 @@ class _Rows(dict):
             halves.append(halves[-1] ^ halves[-1] << (1 << b))
         self._halves = halves[::-1] if m > 1 else []
         forbidden = sum(1 << f for f in graph.forbidden if f < m)
-        self[0] = ((1 << m) - 2) & ~forbidden
+        self._everything = (1 << m) - 1
+        self.base = (self._everything ^ 1) & ~forbidden
 
     def __missing__(self, index: int) -> int:
-        row = self[index] = self.translate(self[0], index)
-        return row
+        # kept nonnegative: an AND with a negative int copies it first
+        mask = self[index] = self._everything ^ (self.translate(self.base, index) | 1 << index)
+        return mask
 
     def translate(self, mask: int, t: int) -> int:
         """Permute a bitmask over the vertices by p -> p xor t."""
@@ -175,49 +184,64 @@ class _Rows(dict):
         return mask
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise _Deadline
-
-
-def _branch_order(rows: _Rows, pool: int, size: int) -> list[int]:
+def _branch_order(rows: _Rows, pool: int, size: int, deadline: float | None) -> list[int]:
     """Vertices that a greedy coloring of the pool puts in color `size` or above.
 
     The list runs in ascending color and callers branch from its end.  The
     vertices left off fill size - 1 color classes, so once every listed
     vertex is branched on and dropped, the pool is refuted.  A pool of
-    fewer than `size` vertices is refuted without touching a row.
+    fewer than `size` vertices is refuted without touching a row.  Each
+    class clears its members' closed neighborhoods with one AND of their
+    cached masks, and checks the deadline once before it starts.
     """
     if pool.bit_count() < size:
         return []
     order: list[int] = []
     color = 1
     while pool:
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Deadline
         available = pool
-        while available:
-            bit = available & -available
-            v = bit.bit_length() - 1
-            if color >= size:
+        if color < size:
+            while available:
+                bit = available & -available
+                pool ^= bit
+                available &= rows[bit.bit_length() - 1]
+        else:
+            while available:
+                bit = available & -available
+                v = bit.bit_length() - 1
                 order.append(v)
-            pool ^= bit
-            available &= ~(rows[v] | bit)
+                pool ^= bit
+                available &= rows[v]
         color += 1
     return order
 
 
 def _exists_clique(
-    rows: _Rows, pool: int, size: int, deadline: float | None
+    rows: _Rows, pool: int, size: int, deadline: float | None, twin: int = 0
 ) -> list[int] | None:
-    """A clique of the given size within the pool, or None if there is none."""
+    """A clique of the given size within the pool, or None if there is none.
+
+    A nonzero twin t says that p -> p xor t maps the pool onto itself and
+    keeps its edges, so a vertex on no clique of the size has a twin on
+    none: both drop, and a listed vertex already dropped is skipped.  The
+    children get no twin, since the map moves each narrowed pool.
+    """
     if size <= 0:
         return []
-    _check_deadline(deadline)
-    for v in reversed(_branch_order(rows, pool, size)):
-        found = _exists_clique(rows, pool & rows[v], size - 1, deadline)
+    for v in reversed(_branch_order(rows, pool, size, deadline)):
+        bit = 1 << v
+        if not pool & bit:
+            # dropped as the twin of a refuted vertex
+            continue
+        pool ^= bit
+        found = _exists_clique(rows, pool & ~rows[v], size - 1, deadline)
         if found is not None:
             found.append(v)
             return found
-        pool &= ~(1 << v)
+        if twin:
+            pool &= ~(1 << (v ^ twin))
     return None
 
 
@@ -229,22 +253,22 @@ def _lex_least_clique(rows: _Rows, size: int, deadline: float | None) -> list[in
     a clique of the size left extends it there, and drops it otherwise.
     """
     clique = [0]
-    pool = rows[0]
+    pool = rows.base
     while len(clique) < size:
-        v = (pool & -pool).bit_length() - 1
-        narrowed = pool & rows[v]
+        bit = pool & -pool
+        v = bit.bit_length() - 1
+        pool ^= bit
+        narrowed = pool & ~rows[v]
         if _exists_clique(rows, narrowed, size - len(clique) - 1, deadline) is not None:
             clique.append(v)
             pool = narrowed
-        else:
-            pool &= ~(1 << v)
     return clique
 
 
 def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tuple[list[int], bool]:
     rows = _Rows(graph)
     # some maximum clique contains vertex 0 by vertex transitivity
-    allowed = rows[0]
+    allowed = rows.base
     # the ascending walk from 0 is the lexicode (Conway & Sloane, "Lexicographic
     # codes", 1986), a subspace, so it grows a coset at a time
     best, pool = [0], allowed
@@ -254,19 +278,18 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
         pool &= rows.translate(pool, v)
     walk = len(best)
     try:
-        # the root coloring alone may refute a raise, so check the budget before it
-        _check_deadline(deadline)
-        order = _branch_order(rows, allowed, len(best))
+        order = _branch_order(rows, allowed, len(best), deadline)
         while order:
             v = order.pop()
+            # p -> p xor v keeps this pool and its edges and swaps 0 with v
             pool = allowed & rows.translate(allowed, v)
-            found = _exists_clique(rows, pool, len(best) - 1, deadline)
+            found = _exists_clique(rows, pool, len(best) - 1, deadline, v)
             if found is None:
                 # translated by a, a larger clique with a ^ b = v would hold 0 and v
                 allowed &= ~(1 << v)
             else:
                 best = [0, v, *found]
-                order = _branch_order(rows, allowed, len(best))
+                order = _branch_order(rows, allowed, len(best), deadline)
         # the walk is the lex-least maximal clique; if maximum, it is the answer
         if len(best) > walk:
             best = _lex_least_clique(rows, len(best), deadline)
@@ -292,8 +315,8 @@ def _greedy_cliques(
         for v in order:
             if pool >> v & 1:
                 clique.append(v)
-                # uncached, so large s does not fill the row dict
-                pool &= rows.translate(rows[0], v)
+                # uncached, so large s does not fill the mask dict
+                pool &= rows.translate(rows.base, v)
                 if not pool:
                     break
         low = min(clique)
@@ -315,10 +338,14 @@ def find_max_clique(
     reaches the size sought raises it one vertex at a time; the first size
     refuted proves the last one maximum.  A neighbor v of 0 on no larger
     clique through 0 is a difference no larger clique holds, so the raise
-    drops it for good.  After a raise, the lex-least pass, which keeps every
-    difference, picks the least clique of the raised size, starting at
-    vertex 0.  A run out of time, in the raise or in that pass, returns the
-    largest clique proven so far, flagged incomplete.  Greedy mode takes the
+    drops it for good.  Below the root branch on v, x -> x xor v keeps the
+    pool and swaps 0 with v, so a refuted child's twin, the child xor v, is
+    refuted too and drops with it (twin pruning, at depth one only).  After
+    a raise, the lex-least pass, which keeps every difference and prunes no
+    twin, picks the least clique of the raised size, starting at vertex 0.
+    The budget is checked once per color class, the root coloring's too.  A
+    run out of time, in the raise or in that pass, returns the largest
+    clique proven so far, flagged incomplete.  Greedy mode takes the
     best of seeded randomized restarts on the same bitmasks and is never
     flagged complete.  Output is deterministic for a given mode and seed.
     """

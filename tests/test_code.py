@@ -248,9 +248,11 @@ def test_code_file_errors():
         ("n = 3\nr = 1.5\n", "line 2: r must be an integer, got '1.5'"),
         ("n = 3\nr = 0\ngraph = ring\nword = IZ0\n",
          "line 4: word 'IZ0' is neither a bit string nor an I/Z string"),
-        ("n = 2\nr = 0\ngraph = ring\n", "ring graph needs n >= 3, got n=2"),
+        ("n = 2\nr = 0\ngraph = ring\n", "line 3: ring graph needs n >= 3, got n=2"),
         ("n = 3\nr = 0\ngraph = ring\ndistance = 0\nword = 000\n",
-         "claimed distance 0 must be >= 1"),
+         "line 4: claimed distance 0 must be >= 1"),
+        # a negative distance fails on its own line, before any word is read
+        ("n = 3\ndistance = -1\nword = 0\n", "line 2: claimed distance -1 must be >= 1"),
     ):
         with pytest.raises(CodeFileError) as info:
             parse_code_file(text)

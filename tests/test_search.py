@@ -17,6 +17,7 @@ from ocws import (
     enumerate_paulis,
     find_max_clique,
     forbidden_differences,
+    from_adjacency,
     gauge_reduce,
     induce,
     induced_error_set,
@@ -365,6 +366,24 @@ def _reference_decision(rows, pool, size):
     return None
 
 
+def _reference_rows(graph):
+    """Neighborhood bitmasks by vertex."""
+    m = len(graph)
+    return [
+        sum(1 << u for u in range(m) if u != v and u ^ v not in graph.forbidden)
+        for v in range(m)
+    ]
+
+
+def _reference_walk(rows):
+    """The ascending walk from vertex 0: the lowest vertex adjacent to all taken joins."""
+    best, pool = [0], rows[0]
+    while pool:
+        best.append((pool & -pool).bit_length() - 1)
+        pool &= rows[best[-1]]
+    return best
+
+
 def _reference_exact(graph):
     """Exact search that drops no difference: every raise searches all of N(0).
 
@@ -373,14 +392,8 @@ def _reference_exact(graph):
     a raise, as in the library.
     """
     m = len(graph)
-    rows = [
-        sum(1 << u for u in range(m) if u != v and u ^ v not in graph.forbidden)
-        for v in range(m)
-    ]
-    best, pool = [0], rows[0]
-    while pool:
-        best.append((pool & -pool).bit_length() - 1)
-        pool &= rows[best[-1]]
+    rows = _reference_rows(graph)
+    best = _reference_walk(rows)
     walk = len(best)
     while (found := _reference_decision(rows, rows[0], len(best))) is not None:
         best = [0, *found]
@@ -442,6 +455,34 @@ def test_coset_walk_matches_the_ascending_walk():
         assert find_max_clique(graph, config) == _reference_exact(graph)
 
 
+def test_twin_pruning_decides_pools_closed_under_the_twin():
+    """On a pool that p -> p xor t maps onto itself, the decision routine with
+    twin t, which drops each refuted vertex with its twin, finds a clique of
+    the pool's clique number and refutes one vertex more."""
+    rng = random.Random(1)
+    for _ in range(550):
+        m = 1 << rng.choice((4, 5, 6))
+        density = rng.random()
+        graph = CompatibilityGraph(
+            range(m), frozenset(f for f in range(1, m) if rng.random() < density)
+        )
+        reference = _reference_rows(graph)
+        twin, keep = rng.randrange(1, m), rng.random()
+        pool = 0
+        for x in range(m):
+            if x < x ^ twin and rng.random() < keep:
+                pool |= 1 << x | 1 << (x ^ twin)
+        size = 0
+        while _reference_decision(reference, pool, size + 1) is not None:
+            size += 1
+        rows = search._Rows(graph)
+        found = search._exists_clique(rows, pool, size, None, twin)
+        assert found is not None and len(found) == size, (graph, twin, pool)
+        assert all(pool >> u & 1 for u in found)
+        assert all(a ^ b not in graph.forbidden for a, b in itertools.combinations(found, 2))
+        assert search._exists_clique(rows, pool, size + 1, None, twin) is None, (graph, twin)
+
+
 def _count_calls(monkeypatch, name):
     """Record each call of a search-module function, recursive ones included."""
     calls = []
@@ -455,13 +496,22 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+# G(10, 1/2) base 13 of the search-exact bench workload
+_GNP13 = ["0111111111", "1000001110", "1000000011", "1000010101", "1000000100",
+          "1001000110", "1100000000", "1101110000", "1110010000", "1011000000"]
+
+
 def test_exact_node_counts(monkeypatch):
     """Decision calls, a node count that does not depend on machine speed."""
     decisions = _count_calls(monkeypatch, "_exists_clique")
     colorings = _count_calls(monkeypatch, "_branch_order")
     assert search_code(SearchConfig(ring_graph(9), 0, 3)).K == 12
-    # 5422 with no difference dropped and full colorings
-    assert len(decisions) == 3527
+    # 5422 with no difference dropped and full colorings, 3527 with no twin pruning
+    assert len(decisions) == 2803
+    decisions.clear()
+    assert search_code(SearchConfig(from_adjacency(_GNP13), 1, 3)).K == 8
+    # 3537 with no twin pruning
+    assert len(decisions) == 2709
     for n in (9, 10):
         decisions.clear()
         colorings.clear()
@@ -547,6 +597,22 @@ def test_greedy_budget_stops_after_a_whole_restart(monkeypatch):
     for readings in ((0.0, 0.0, 2.0), (0.0, 2.0)):
         monkeypatch.setattr(search, "time", _Clock(*readings))
         assert find_max_clique(graph, config) == one_restart
+
+
+def test_budget_ending_in_the_root_coloring_returns_the_walk(monkeypatch):
+    graph = _ring_graph(9, 0, 3)
+    walk = _reference_walk(_reference_rows(graph))
+    # the raise beats the walk, so the search goes on past the root coloring
+    assert len(walk) < search_code(SearchConfig(ring_graph(9), 0, 3)).K
+    config = SearchConfig(ring_graph(9), 0, 3, time_budget=1.0)
+
+    def unreachable(*args):
+        raise AssertionError("the root coloring ran past the deadline")
+
+    monkeypatch.setattr(search, "_exists_clique", unreachable)
+    # the deadline (0 + 1.0) passes after the first color class of the root pool
+    monkeypatch.setattr(search, "time", _Clock(0.0, 0.0, 2.0))
+    assert find_max_clique(graph, config) == (walk, False)
 
 
 def _pairwise_greedy(graph, seed):
