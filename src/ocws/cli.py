@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .code import CodeFileError, OcwsCode, parse_code_file, write_code_file
+from .code import OcwsCode, parse_code_file, write_code_file
 from .graph import Graph, from_adjacency, ring_graph
 from .induction import enumerate_paulis, induced_images, pauli_images
 from .oracle import check_dense_size, oqec_check
@@ -84,9 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _comment(args: argparse.Namespace, text: str) -> None:
+def _comment(args: argparse.Namespace, text: str, stderr_in_lines: bool = False) -> None:
     if args.format == "text":
         print(f"# {text}")
+    elif stderr_in_lines:
+        print(text, file=sys.stderr)  # so lines-format stdout stays unchanged
 
 
 def _load_code(path: str) -> OcwsCode:
@@ -172,8 +174,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         time_budget=args.budget,
         seed=args.seed,
     )
-    code = search_code(config)
+    code, complete = search_code(config)
     print(f"CODE n={code.n} r={code.r} K={code.K} d={code.claimed_distance}")
+    if not complete:
+        _comment(args, f"incomplete: K={code.K} is the best found, not a proven maximum",
+                 stderr_in_lines=True)
     body = write_code_file(code)
     if args.out is not None:
         Path(args.out).write_text(body)
@@ -189,11 +194,11 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         raise ValueError(f"--weight {args.weight} out of range for n={code.n}")
     check_dense_size(code.n)  # before the sweep, which alone can exhaust memory
     errors = enumerate_paulis(code.n, args.weight, include_identity=True)
+    report = oqec_check(code, errors, args.tol)  # rejects a bad --tol before any output
     _comment(
         args,
         f"oracle-check {args.codefile}: {len(errors)} errors, tolerance {args.tol:g}",
     )
-    report = oqec_check(code, errors, args.tol)
     print(f"max_off_block = {report.max_off_block:.6e}")
     print(f"max_block_deviation = {report.max_block_deviation:.6e}")
     print("PASS" if report.passed else "FAIL")
@@ -217,9 +222,6 @@ def main(argv=None) -> int:
     except SearchError as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return 1
-    except CodeFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

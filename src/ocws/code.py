@@ -26,7 +26,6 @@ __all__ = [
     "CodeFileError",
     "new_code",
     "gauge_generators",
-    "in_gauge_group",
     "gauge_decomposition",
     "parse_code_file",
     "write_code_file",
@@ -106,10 +105,6 @@ class GaugeGroup:
     generators: tuple[PauliOperator, ...]
     labels: tuple[str, ...]
     basis: _GF2Basis = field(repr=False, compare=False)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.rank
 
 
 @dataclass(frozen=True)
@@ -196,13 +191,6 @@ def new_code(
 def gauge_generators(code: OcwsCode) -> GaugeGroup:
     """The n + r gauge generators with their cached symplectic basis."""
     return code._gauge_group
-
-
-def in_gauge_group(code: OcwsCode, p: PauliOperator) -> bool:
-    """True iff p lies in the gauge group up to phase (GF(2) rank test)."""
-    if p.n != code.n:
-        raise ValueError(f"operator length {p.n} does not match code n={code.n}")
-    return code._gauge_group.basis.decompose(_symplectic_vector(p)) is not None
 
 
 def gauge_decomposition(code: OcwsCode, p: PauliOperator) -> str | None:

@@ -26,7 +26,6 @@ twin and resumes at vertex 0.  One verifier sweep re-checks each found code.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -42,7 +41,6 @@ from .verify import analyze, certify_distance, corrects_weight  # noqa: F401
 __all__ = [
     "SearchError",
     "SearchConfig",
-    "compatible",
     "forbidden_differences",
     "CompatibilityGraph",
     "find_max_clique",
@@ -90,24 +88,6 @@ class SearchConfig:
     @property
     def s(self) -> int:
         return self.graph.n - self.r
-
-
-def compatible(code_skeleton: OcwsCode, c_i: int, c_j: int, error_sweep) -> bool:
-    """True iff no two sweep errors (or one and the identity) confuse c_i, c_j.
-
-    error_sweep is an iterable of gauge-reduced induced-error bit vectors;
-    the zero class is always included.  The test depends only on c_i xor
-    c_j, so it is symmetric and translation invariant.
-    """
-    if c_i == c_j:
-        raise ValueError("candidates must be distinct")
-    word_mask = (1 << code_skeleton.s) - 1
-    for c in (c_i, c_j):
-        if not 0 <= c <= word_mask:
-            raise ValueError(f"candidate {c} is not supported on qubits 1..{code_skeleton.s}")
-    sweep = set(error_sweep) | {0}
-    diff = c_i ^ c_j
-    return all(diff != ea ^ eb for ea, eb in itertools.combinations(sweep, 2))
 
 
 def forbidden_differences(code_skeleton: OcwsCode, max_error_weight: int) -> frozenset[int]:
@@ -382,12 +362,12 @@ def _parity_kernel(skeleton: OcwsCode, t: int) -> list[int]:
     return kernel.rows()
 
 
-def search_code(config: SearchConfig) -> OcwsCode:
+def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:
     """Find a maximum-size word set at the target distance and verify it.
 
-    Raises SearchError when a requested size is not reached or the
-    assembled code fails re-verification; the exception carries the best
-    clique size achieved.
+    Returns the code and its completeness flag.  Raises SearchError when a
+    requested size is not reached or the assembled code fails re-verification;
+    the exception carries the best clique size achieved.
     """
     skeleton = new_code(config.graph, config.r, (0,))
     forbidden = forbidden_differences(skeleton, config.target_distance - 1)
@@ -400,7 +380,7 @@ def search_code(config: SearchConfig) -> OcwsCode:
     graph = CompatibilityGraph(
         range(1 << len(basis)), frozenset(a for a in in_kernel if a is not None)
     )
-    clique, _complete = find_max_clique(graph, config)
+    clique, complete = find_max_clique(graph, config)
     k = len(clique)
     if config.target_K is not None and k < config.target_K:
         raise SearchError(
@@ -422,4 +402,4 @@ def search_code(config: SearchConfig) -> OcwsCode:
             f"{config.target_distance}",
             best_k=k,
         )
-    return new_code(config.graph, config.r, tuple(words), result.distance)
+    return new_code(config.graph, config.r, tuple(words), result.distance), complete

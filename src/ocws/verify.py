@@ -16,7 +16,8 @@ sweep.  certify_distance, corrects_weight and the CLI verdict all read its
 result; it XORs per-qubit residues and builds only the Paulis it tests or
 reports.  The classical route reduces every error to its induced Z
 bit-vector, one Pauli at a time, and compares translated word sets.  They
-must agree on every code.
+must agree on every code.  detects_set looks a given error list up in
+the word-pair table of analyze, so it is not a third independent route.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "DetectionReport",
     "DegenerateFailure",
     "Analysis",
-    "detects",
     "detects_set",
     "analyze",
     "corrects_weight",
@@ -104,11 +104,6 @@ def _first_failure(
     decomposition = gauge_decomposition(code, product)
     assert decomposition is not None
     return DetectionFailure(e, i, j, decomposition)
-
-
-def detects(code: OcwsCode, e: PauliOperator) -> bool:
-    """True iff w_i e w_j is outside the gauge group for every pair i != j."""
-    return _first_failure(code, e, _pair_table(code)) is None
 
 
 def detects_set(code: OcwsCode, errors) -> DetectionReport:

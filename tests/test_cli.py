@@ -15,8 +15,9 @@ from ocws import (
     ring_graph,
     write_code_file,
 )
+from ocws import search
 from ocws.cli import main
-from conftest import fixture_path, random_code, random_graph
+from conftest import Clock, fixture_path, random_code, random_graph
 
 RING5_CLASS_LINES = """\
 CLASS XIIII -> IZIIZ -> IZIII
@@ -195,6 +196,39 @@ def test_search_output_is_byte_stable(capsys):
     assert out1 == out2
 
 
+def test_budget_cut_search_says_its_k_is_unproven(capsys, monkeypatch):
+    argv = ["search", "--graph", "ring", "--n", "9", "--r", "0", "--distance", "3",
+            "--budget", "1"]
+    outputs = {}
+    for fmt in ("text", "lines"):
+        # the deadline (0 + 1) passes after the first color class of the root pool
+        monkeypatch.setattr(search, "time", Clock(0.0, 0.0, 2.0))
+        outputs[fmt] = run(capsys, *argv, "--format", fmt)
+    status, out, err = outputs["text"]
+    head, note, *body = out.splitlines()
+    k = int(head.split("K=")[1].split()[0])
+    assert (status, err) == (0, "")
+    assert note == f"# incomplete: K={k} is the best found, not a proven maximum"
+    # lines keeps stdout to the CODE line and the body, and moves the note to stderr
+    assert outputs["lines"] == (0, "\n".join([head, *body]) + "\n", note[2:] + "\n")
+
+
+def test_complete_search_prints_no_incomplete_note(capsys):
+    argv = ["search", "--graph", "ring", "--n", "8", "--r", "1", "--distance", "3"]
+    for fmt in ("text", "lines"):
+        status, out, err = run(capsys, *argv, "--format", fmt)
+        assert (status, err) == (0, "")
+        assert "incomplete" not in out
+
+
+def test_greedy_search_says_its_k_is_unproven(capsys):
+    argv = ["search", "--graph", "ring", "--n", "8", "--r", "1", "--distance", "3",
+            "--mode", "greedy", "--format", "lines"]
+    status, out, err = run(capsys, *argv)
+    k = int(out.split("K=")[1].split()[0])
+    assert (status, err) == (0, f"incomplete: K={k} is the best found, not a proven maximum\n")
+
+
 def test_search_adjacency_file_graph(capsys, tmp_path):
     graph_path = tmp_path / "ring5.adj"
     lines = []
@@ -281,6 +315,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         (["verify", ring5, "--distance", "0"], "distance 0 must be >= 1"),
         (["oracle-check", ring5, "--weight", "-1"], "--weight -1 out of range for n=5"),
         (["oracle-check", ring5, "--weight", "6"], "--weight 6 out of range for n=5"),
+        (["oracle-check", fixture_path("8_1_1_3.ocws"), "--tol", "-1"],
+         "tolerance -1.0 must be positive"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv

@@ -9,7 +9,7 @@ import random
 
 from ocws import (
     commutes,
-    compatible,
+    forbidden_differences,
     gauge_generators,
     gauge_reduce,
     induce,
@@ -20,7 +20,7 @@ from ocws import (
     ring_graph,
     stabilizer_generator,
 )
-from conftest import random_graph
+from conftest import compatible, random_graph
 
 
 def random_pauli(rng, n):
@@ -78,7 +78,11 @@ def run_gauge_reduce_idempotence(count, seed):
 
 
 def run_compatibility_translation_invariance(count, seed):
-    """XOR-translating both candidate words preserves compatibility."""
+    """XOR-translating both candidate words preserves compatibility.
+
+    The reference verdict on weight-1 classes also matches the library's
+    forbidden set of weight-2 differences.
+    """
     rng = random.Random(seed)
     cached = {}
     for _ in range(count):
@@ -89,8 +93,8 @@ def run_compatibility_translation_invariance(count, seed):
             graph = ring_graph(n)
             skeleton = new_code(graph, r, (0,))
             sweep = [c.bits for c in induced_error_set(skeleton, 1)]
-            cached[key] = (skeleton, sweep)
-        skeleton, sweep = cached[key]
+            cached[key] = (skeleton, sweep, forbidden_differences(skeleton, 2))
+        skeleton, sweep, forbidden = cached[key]
         s = skeleton.s
         a = rng.getrandbits(s)
         b = rng.getrandbits(s)
@@ -100,6 +104,7 @@ def run_compatibility_translation_invariance(count, seed):
         assert compatible(skeleton, a, b, sweep) == compatible(
             skeleton, a ^ t, b ^ t, sweep
         )
+        assert compatible(skeleton, a, b, sweep) == (a ^ b not in forbidden)
 
 
 def test_pauli_bilinearity():

@@ -12,7 +12,6 @@ from ocws import (
     SearchConfig,
     SearchError,
     certify_distance,
-    compatible,
     corrects_weight,
     enumerate_paulis,
     find_max_clique,
@@ -28,7 +27,7 @@ from ocws import (
 )
 from ocws import search
 from ocws.search import _GREEDY_RESTARTS, _parity_kernel
-from conftest import WORDS_8_1, WORDS_9_3, bits, random_graph
+from conftest import WORDS_8_1, WORDS_9_3, Clock, bits, compatible, random_graph
 
 
 def _skeleton(n, r):
@@ -62,20 +61,24 @@ def test_config_validation():
         SearchConfig(ring_graph(5), 2, 3, target_K=0)
     with pytest.raises(ValueError, match="target distance 7"):
         SearchConfig(ring_graph(5), 1, 7)
-    code = search_code(SearchConfig(ring_graph(5), 1, 6))  # d = n + 1 is reachable
+    code, _ = search_code(SearchConfig(ring_graph(5), 1, 6))  # d = n + 1 is reachable
     assert (code.K, certify_distance(code)) == (1, 6)
 
 
 def test_fixture_word_pairs_are_compatible():
     skel8 = _skeleton(8, 1)
     sweep8 = _weight1_classes(skel8)
-    assert compatible(skel8, bits(WORDS_8_1[0]), bits(WORDS_8_1[1]), sweep8)
+    a, b = bits(WORDS_8_1[0]), bits(WORDS_8_1[1])
+    assert compatible(skel8, a, b, sweep8)
+    assert a ^ b not in forbidden_differences(skel8, 2)
 
     skel9 = _skeleton(9, 1)
     sweep9 = _weight1_classes(skel9)
+    forbidden9 = forbidden_differences(skel9, 2)
     words = [bits(w) for w in WORDS_9_3]
     for ci, cj in itertools.combinations(words, 2):
         assert compatible(skel9, ci, cj, sweep9)
+        assert ci ^ cj not in forbidden9
 
 
 def test_constructed_violation_is_incompatible():
@@ -84,6 +87,7 @@ def test_constructed_violation_is_incompatible():
     # any single class difference from a valid word is confusable
     violating = bits(WORDS_8_1[1]) ^ sweep[0]
     assert not compatible(skel, bits(WORDS_8_1[1]), violating, sweep)
+    assert bits(WORDS_8_1[1]) ^ violating in forbidden_differences(skel, 2)
 
 
 def test_compatible_is_symmetric_and_needs_distinct_candidates():
@@ -91,6 +95,7 @@ def test_compatible_is_symmetric_and_needs_distinct_candidates():
     sweep = _weight1_classes(skel)
     a, b = bits(WORDS_8_1[0]), bits(WORDS_8_1[1])
     assert compatible(skel, a, b, sweep) == compatible(skel, b, a, sweep)
+    assert compatible(skel, a, b, sweep) == (a ^ b not in forbidden_differences(skel, 2))
     with pytest.raises(ValueError):
         compatible(skel, a, a, sweep)
 
@@ -173,7 +178,8 @@ def test_greedy_is_deterministic_for_a_seed():
 
 
 def test_search_code_eight_ring():
-    code = search_code(SearchConfig(ring_graph(8), 1, 3))
+    code, complete = search_code(SearchConfig(ring_graph(8), 1, 3))
+    assert complete
     assert code.K >= 2
     assert code.claimed_distance == 3
     assert certify_distance(code) == 3
@@ -181,26 +187,27 @@ def test_search_code_eight_ring():
 
 
 def test_search_code_nine_ring():
-    code = search_code(SearchConfig(ring_graph(9), 1, 3))
+    code, _ = search_code(SearchConfig(ring_graph(9), 1, 3))
     assert code.K >= 8
     assert certify_distance(code) >= 3
 
 
 def test_search_code_distance_one_keeps_all_candidates():
-    code = search_code(SearchConfig(ring_graph(5), 2, 1))
+    code, _ = search_code(SearchConfig(ring_graph(5), 2, 1))
     assert code.K == 8
     assert sorted(code.words) == list(range(8))
 
 
 def test_search_code_distance_one_returns_every_word_without_deep_recursion():
     # the walk from 0 is already the lex-least maximum clique of 1024 vertices
-    code = search_code(SearchConfig(ring_graph(10), 0, 1))
+    code, _ = search_code(SearchConfig(ring_graph(10), 0, 1))
     assert code.words == tuple(range(1 << 10))
 
 
 def test_search_code_greedy_mode():
-    code = search_code(SearchConfig(ring_graph(9), 1, 3, mode="greedy"))
+    code, complete = search_code(SearchConfig(ring_graph(9), 1, 3, mode="greedy"))
     assert code.K == 8
+    assert not complete  # greedy never proves its K maximum
 
 
 def test_search_code_unreachable_target_K():
@@ -211,12 +218,13 @@ def test_search_code_unreachable_target_K():
 
 def test_search_output_is_reproducible():
     config = SearchConfig(ring_graph(9), 1, 3)
-    assert search_code(config).words == search_code(config).words
+    assert search_code(config)[0].words == search_code(config)[0].words
 
 
 def test_translation_invariance_of_compatibility():
     skel = _skeleton(8, 1)
     sweep = _weight1_classes(skel)
+    forbidden = forbidden_differences(skel, 2)
     rng = random.Random(17)
     mask = (1 << skel.s) - 1
     for _ in range(200):
@@ -224,6 +232,7 @@ def test_translation_invariance_of_compatibility():
         if a == b:
             continue
         assert compatible(skel, a, b, sweep) == compatible(skel, a ^ t, b ^ t, sweep)
+        assert compatible(skel, a, b, sweep) == (a ^ b not in forbidden)
 
 
 # Graphs where some weight-1 error reduces to the zero class.  On the par
@@ -293,7 +302,7 @@ def test_parity_kernel_basis_lists_filtered_candidates_in_order(name):
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
 def test_parity_search_matches_pinned_code_files(name, mode):
     graph, r, d = PARITY_CASES[name]
-    code = search_code(SearchConfig(graph, r, d, mode=mode))
+    code, _ = search_code(SearchConfig(graph, r, d, mode=mode))
     assert write_code_file(code) == (_DATA / f"{name}_{mode}.ocws").read_text()
 
 
@@ -333,7 +342,9 @@ def test_parity_search_k_equals_reference_max_clique(name):
     cliques = [tuple(sorted(c)) for c in nx.find_cliques(reference)]
     size = max(map(len, cliques))
     least = min(c for c in cliques if len(c) == size)
-    assert search_code(SearchConfig(graph, r, d)).words == least
+    code, complete = search_code(SearchConfig(graph, r, d))
+    assert complete
+    assert code.words == least
 
 
 def _reference_color_order(rows, pool):
@@ -505,11 +516,11 @@ def test_exact_node_counts(monkeypatch):
     """Decision calls, a node count that does not depend on machine speed."""
     decisions = _count_calls(monkeypatch, "_exists_clique")
     colorings = _count_calls(monkeypatch, "_branch_order")
-    assert search_code(SearchConfig(ring_graph(9), 0, 3)).K == 12
+    assert search_code(SearchConfig(ring_graph(9), 0, 3))[0].K == 12
     # 5422 with no difference dropped and full colorings, 3527 with no twin pruning
     assert len(decisions) == 2803
     decisions.clear()
-    assert search_code(SearchConfig(from_adjacency(_GNP13), 1, 3)).K == 8
+    assert search_code(SearchConfig(from_adjacency(_GNP13), 1, 3))[0].K == 8
     # 3537 with no twin pruning
     assert len(decisions) == 2709
     for n in (9, 10):
@@ -534,7 +545,7 @@ def test_distance_one_search_caches_no_row(monkeypatch):
         return missing(rows, index)
 
     monkeypatch.setattr(search._Rows, "__missing__", counting)
-    code = search_code(SearchConfig(ring_graph(12), 0, 1))
+    code, _ = search_code(SearchConfig(ring_graph(12), 0, 1))
     assert code.K == 1 << 12
     assert calls == []
 
@@ -554,7 +565,7 @@ def _count_translates(monkeypatch):
 def test_distance_one_walk_translates_once_per_dimension(monkeypatch):
     """The walk doubles its clique with each translate, so 2^12 words take 12."""
     calls = _count_translates(monkeypatch)
-    assert search_code(SearchConfig(ring_graph(12), 0, 1)).K == 1 << 12
+    assert search_code(SearchConfig(ring_graph(12), 0, 1))[0].K == 1 << 12
     assert len(calls) <= 12
 
 
@@ -575,16 +586,6 @@ def test_budget_ending_in_the_lex_least_pass_flags_incomplete(monkeypatch):
     assert len(raised) == len(clique)
 
 
-class _Clock:
-    """Stands in for the time module: monotonic() returns the given readings, then the last."""
-
-    def __init__(self, *readings):
-        self.readings = list(readings)
-
-    def monotonic(self):
-        return self.readings.pop(0) if len(self.readings) > 1 else self.readings[0]
-
-
 def test_greedy_budget_stops_after_a_whole_restart(monkeypatch):
     graph = _ring_graph(9, 1, 3)
     config = SearchConfig(ring_graph(9), 1, 3, mode="greedy", seed=1, time_budget=1.0)
@@ -595,7 +596,7 @@ def test_greedy_budget_stops_after_a_whole_restart(monkeypatch):
     assert one_restart != find_max_clique(graph, config)
     # the deadline (0 + 1.0) passes after the first restart, then before the first
     for readings in ((0.0, 0.0, 2.0), (0.0, 2.0)):
-        monkeypatch.setattr(search, "time", _Clock(*readings))
+        monkeypatch.setattr(search, "time", Clock(*readings))
         assert find_max_clique(graph, config) == one_restart
 
 
@@ -603,7 +604,7 @@ def test_budget_ending_in_the_root_coloring_returns_the_walk(monkeypatch):
     graph = _ring_graph(9, 0, 3)
     walk = _reference_walk(_reference_rows(graph))
     # the raise beats the walk, so the search goes on past the root coloring
-    assert len(walk) < search_code(SearchConfig(ring_graph(9), 0, 3)).K
+    assert len(walk) < search_code(SearchConfig(ring_graph(9), 0, 3))[0].K
     config = SearchConfig(ring_graph(9), 0, 3, time_budget=1.0)
 
     def unreachable(*args):
@@ -611,7 +612,7 @@ def test_budget_ending_in_the_root_coloring_returns_the_walk(monkeypatch):
 
     monkeypatch.setattr(search, "_exists_clique", unreachable)
     # the deadline (0 + 1.0) passes after the first color class of the root pool
-    monkeypatch.setattr(search, "time", _Clock(0.0, 0.0, 2.0))
+    monkeypatch.setattr(search, "time", Clock(0.0, 0.0, 2.0))
     assert find_max_clique(graph, config) == (walk, False)
 
 

@@ -1,15 +1,20 @@
-"""The benchmark's span recorder still finds every name it wraps.
+"""The benchmark still finds every ocws name it wraps or imports.
 
-perfbench/spans.py rebinds (module, name) pairs inside ocws to time them.
-A refactor that drops one of those names would otherwise only crash the
-traced benchmark run.
+perfbench/spans.py rebinds (module, name) pairs inside ocws to time them,
+and perfbench/worker.py imports public names to re-check each op's output.
+A refactor that drops one of those names would otherwise only crash or
+fail the benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import ocws
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -32,3 +37,15 @@ def test_tracer_installs_and_uninstalls_every_binding():
         tracer.uninstall()
     for (module_name, attr), original in before.items():
         assert getattr(importlib.import_module(module_name), attr) is original
+
+
+def test_worker_imports_resolve_on_ocws():
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "ocws"
+        for alias in node.names
+    ]
+    assert names, "worker.py no longer imports from ocws"
+    assert [name for name in names if not hasattr(ocws, name)] == []

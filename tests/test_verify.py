@@ -13,10 +13,10 @@ from ocws import (
     classical_route_corrects,
     commutes,
     corrects_weight,
-    detects,
     detects_set,
     enumerate_paulis,
     format_pauli,
+    gauge_decomposition,
     gauge_generators,
     gauge_reduce,
     induce,
@@ -31,7 +31,7 @@ from ocws import (
 from ocws.cli import main
 from ocws import verify
 from ocws.verify import _pair_table
-from conftest import random_code, random_graph
+from conftest import detects, random_code, random_graph
 
 
 def test_fixture_codes_certify_distance_three(code_8_1_1_3, code_9_3_1_3, code_9_4_1_3):
@@ -61,6 +61,7 @@ def test_weight_three_witnesses_are_undetectable(code_8_1_1_3, code_9_3_1_3, cod
     }
     for text, code in witnesses.items():
         assert not detects(code, parse_pauli(text)), text
+        assert not detects_set(code, [parse_pauli(text)]).passed, text
 
 
 def test_detection_failure_reports_pair_and_decomposition(code_8_1_1_3):
@@ -86,10 +87,12 @@ def test_detection_failure_reports_pair_and_decomposition(code_8_1_1_3):
 
 def test_gauge_qubit_z_error_is_detected(code_8_1_1_3):
     assert detects(code_8_1_1_3, parse_pauli("IIIIIIIZ"))
+    assert detects_set(code_8_1_1_3, [parse_pauli("IIIIIIIZ")]).passed
 
 
 def test_broken_toy_fails_everything(broken_toy):
     assert not detects(broken_toy, parse_pauli("ZIIII"))
+    assert not detects_set(broken_toy, [parse_pauli("ZIIII")]).passed
     assert certify_distance(broken_toy) == 1
     assert not corrects_weight(broken_toy, 1)
     assert not classical_route_corrects(broken_toy, 1)
@@ -124,13 +127,38 @@ def test_detects_is_gauge_coset_invariant(code_8_1_1_3):
     code = code_8_1_1_3
     gens = gauge_generators(code).generators
     rng = random.Random(3)
-    errors = enumerate_paulis(8, 2)
+    # weight 3 holds 14 undetectable errors, so both verdicts are sampled
+    errors = enumerate_paulis(8, 3)
     for _ in range(300):
         e = rng.choice(errors)
         g = gens[rng.randrange(len(gens))]
         if rng.random() < 0.5:
             g = multiply(g, gens[rng.randrange(len(gens))])
         assert detects(code, e) == detects(code, multiply(e, g))
+        report = detects_set(code, [e, multiply(e, g)])
+        assert len(report.failures) == (0 if detects(code, e) else 2)
+
+
+def test_detects_set_matches_the_definition_on_random_codes():
+    """The pair-table lookup agrees with testing every w_i e w_j for gauge membership."""
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(30):
+        n = rng.randint(4, 7)
+        r = rng.randint(0, 2)
+        code = random_code(rng, random_graph(rng, n), r, rng.randint(2, min(5, 1 << (n - r))))
+        errors = enumerate_paulis(n, 2)
+        report = detects_set(code, errors)
+        assert report.checked == len(errors)
+        assert [f.error for f in report.failures] == [e for e in errors if not detects(code, e)]
+        for f in report.failures:
+            product = multiply(
+                multiply(code.word_operator(f.word_i - 1), f.error), code.word_operator(f.word_j - 1)
+            )
+            assert f.word_i < f.word_j
+            assert gauge_decomposition(code, product) == f.decomposition
+        checked += len(errors)
+    assert checked > 3000
 
 
 def _pendant_gauge_code():
