@@ -16,22 +16,30 @@ to the least word set.  Both search modes work on the same neighborhood
 bitmasks.  The exact one raises the ascending walk from vertex 0, which is
 the lexicode and is built a coset at a time, by a decision branch-and-bound
 that branches only on vertices colored at least the size sought and drops,
-by translation, each difference that fails to extend.  In the root branch
-on v, the translation by v maps the pool onto itself, so each refuted child
-drops with its twin, the child xor v.  Colorings clear a class with one AND
-of a cached closed non-neighborhood mask per vertex and check the deadline
-once per class.  The lex-least pass keeps every difference, prunes no
-twin and resumes at vertex 0.  One verifier sweep re-checks each found code.
+by translation, each difference that fails to extend.  It drops the
+difference's whole orbit under the graph's automorphisms that keep the
+gauge block, carried to kernel coordinates: such a qubit permutation keeps
+the forbidden set, so it is an automorphism of the Cayley graph that fixes
+0 (orbit pruning as in Kaski & Östergård, "Classification Algorithms for
+Codes and Designs", 2006).  The group is built, as generators, only when
+the raise first refutes a difference.  In the root branch on v, the
+translation by v maps the pool onto itself, so each refuted child drops
+with its twin, the child xor v.  Colorings clear a class with one AND of a
+cached closed non-neighborhood mask per vertex and check the deadline once
+per class.  The lex-least pass keeps every difference, prunes no twin,
+uses no group and resumes at vertex 0.  One verifier sweep re-checks each
+found code.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .code import OcwsCode, _GF2Basis, new_code
-from .graph import Graph
+from .graph import Graph, automorphism_generators
 # enumerate_paulis, induced_error_set, certify_distance and corrects_weight
 # stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, induced_error_set  # noqa: F401
@@ -117,6 +125,11 @@ class CompatibilityGraph:
 
     candidates: range
     forbidden: frozenset[int]
+    # generators of linear maps that keep `forbidden`, each as its k column
+    # images, built only when the raise first refutes a difference
+    symmetries: Callable[[], list[tuple[int, ...]]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         m = len(self.candidates) if isinstance(self.candidates, range) else 0
@@ -245,6 +258,23 @@ def _lex_least_clique(rows: _Rows, size: int, deadline: float | None) -> list[in
     return clique
 
 
+def _orbit(v: int, maps: list[tuple[int, ...]]) -> int:
+    """Bitmask of the orbit of v under the group the linear maps generate."""
+    orbit, frontier = 1 << v, [v]
+    while frontier:
+        a = frontier.pop()
+        for columns in maps:
+            image, rest = 0, a
+            while rest:
+                low = rest & -rest
+                image ^= columns[low.bit_length() - 1]
+                rest ^= low
+            if not orbit >> image & 1:
+                orbit |= 1 << image
+                frontier.append(image)
+    return orbit
+
+
 def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tuple[list[int], bool]:
     rows = _Rows(graph)
     # some maximum clique contains vertex 0 by vertex transitivity
@@ -257,16 +287,24 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
         best += [b ^ v for b in best]
         pool &= rows.translate(pool, v)
     walk = len(best)
+    maps = None
     try:
         order = _branch_order(rows, allowed, len(best), deadline)
         while order:
             v = order.pop()
+            if not allowed >> v & 1:
+                # dropped with the orbit of a refuted difference
+                continue
             # p -> p xor v keeps this pool and its edges and swaps 0 with v
             pool = allowed & rows.translate(allowed, v)
             found = _exists_clique(rows, pool, len(best) - 1, deadline, v)
             if found is None:
-                # translated by a, a larger clique with a ^ b = v would hold 0 and v
-                allowed &= ~(1 << v)
+                # translated by a, a larger clique with a ^ b = v would hold 0 and
+                # v; for a linear map A keeping the forbidden set, A^-1 maps one
+                # through 0 and A(v) onto one through 0 and v: the orbit drops
+                if maps is None:
+                    maps = graph.symmetries() if graph.symmetries else []
+                allowed &= ~_orbit(v, maps)
             else:
                 best = [0, v, *found]
                 order = _branch_order(rows, allowed, len(best), deadline)
@@ -318,16 +356,25 @@ def find_max_clique(
     reaches the size sought raises it one vertex at a time; the first size
     refuted proves the last one maximum.  A neighbor v of 0 on no larger
     clique through 0 is a difference no larger clique holds, so the raise
-    drops it for good.  Below the root branch on v, x -> x xor v keeps the
-    pool and swaps 0 with v, so a refuted child's twin, the child xor v, is
-    refuted too and drops with it (twin pruning, at depth one only).  After
-    a raise, the lex-least pass, which keeps every difference and prunes no
-    twin, picks the least clique of the raised size, starting at vertex 0.
-    The budget is checked once per color class, the root coloring's too.  A
-    run out of time, in the raise or in that pass, returns the largest
-    clique proven so far, flagged incomplete.  Greedy mode takes the
-    best of seeded randomized restarts on the same bitmasks and is never
-    flagged complete.  Output is deterministic for a given mode and seed.
+    drops it for good, with its orbit under the compatibility graph's
+    `symmetries`: for a linear map A that keeps the forbidden set, A^-1
+    maps a larger clique through 0 and A(v) onto one through 0 and v.
+    search_code gives the graph's automorphisms that keep the gauge block,
+    carried to kernel coordinates, and builds them only at the first
+    refuted difference; an automorphism search cut at its node limit gives
+    a subgroup, which drops less but stays sound.  Below the root branch on
+    v, x -> x xor v keeps the pool and swaps 0 with v, so a refuted child's
+    twin, the child xor v, is refuted too and drops with it (twin pruning,
+    at depth one only, with no group).  Orbits drop in the raise only.
+    After a raise, the lex-least pass, which keeps every difference, prunes
+    no twin and uses no group, picks the least clique of the raised size,
+    starting at vertex 0.  The budget is checked once per color class, the
+    root coloring's too; the group build is bounded by its node limit, not
+    by the budget.  A run out of time, in the raise or in that pass,
+    returns the largest clique proven so far, flagged incomplete.  Greedy
+    mode takes the best of seeded randomized restarts on the same bitmasks
+    and is never flagged complete.  Output is deterministic for a given
+    mode and seed.
     """
     deadline = None
     if config.time_budget is not None:
@@ -362,6 +409,45 @@ def _parity_kernel(skeleton: OcwsCode, t: int) -> list[int]:
     return kernel.rows()
 
 
+def _kernel_maps(
+    graph: Graph, s: int, basis: list[int], coordinates: _GF2Basis
+) -> list[tuple[int, ...]]:
+    """The graph's automorphisms that keep the gauge block, on kernel coordinates.
+
+    Such a qubit permutation sends each Pauli to one of the same weight and
+    its reduced induced error to the permuted one, so it keeps the forbidden
+    set and the parity kernel.  Each map lists the coordinates of the
+    permuted basis rows; maps that fix every coordinate are left out.
+    """
+    identity = tuple(1 << i for i in range(len(basis)))
+    maps = []
+    for p in automorphism_generators(graph, s):
+        columns = tuple(
+            coordinates.decompose(sum(1 << p[q] for q in range(s) if row >> q & 1))
+            for row in basis
+        )
+        if columns != identity:
+            maps.append(columns)
+    return maps
+
+
+def _compatibility(config: SearchConfig) -> tuple[CompatibilityGraph, list[int]]:
+    """The Cayley graph of the parity kernel in coordinates, and the kernel basis."""
+    skeleton = new_code(config.graph, config.r, (0,))
+    forbidden = forbidden_differences(skeleton, config.target_distance - 1)
+    basis = _parity_kernel(skeleton, (config.target_distance - 1) // 2)
+    coordinates = _GF2Basis()
+    for i, row in enumerate(basis):
+        coordinates.add(row, 1 << i)
+    in_kernel = (coordinates.decompose(f) for f in forbidden)
+    graph = CompatibilityGraph(
+        range(1 << len(basis)),
+        frozenset(a for a in in_kernel if a is not None),
+        lambda: _kernel_maps(config.graph, config.s, basis, coordinates),
+    )
+    return graph, basis
+
+
 def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:
     """Find a maximum-size word set at the target distance and verify it.
 
@@ -369,17 +455,8 @@ def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:
     requested size is not reached or the assembled code fails re-verification;
     the exception carries the best clique size achieved.
     """
-    skeleton = new_code(config.graph, config.r, (0,))
-    forbidden = forbidden_differences(skeleton, config.target_distance - 1)
     t = (config.target_distance - 1) // 2
-    basis = _parity_kernel(skeleton, t)
-    coordinates = _GF2Basis()
-    for i, row in enumerate(basis):
-        coordinates.add(row, 1 << i)
-    in_kernel = (coordinates.decompose(f) for f in forbidden)
-    graph = CompatibilityGraph(
-        range(1 << len(basis)), frozenset(a for a in in_kernel if a is not None)
-    )
+    graph, basis = _compatibility(config)
     clique, complete = find_max_clique(graph, config)
     k = len(clique)
     if config.target_K is not None and k < config.target_K:

@@ -12,28 +12,15 @@ perfbench/run.py writes them, and are removed after.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
 import shutil
-import sys
-from pathlib import Path
 
 import pytest
 
 from ocws.cli import main
-
-ROOT = Path(__file__).resolve().parent.parent
-PERFBENCH = ROOT / "perfbench"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+from conftest import PERFBENCH, ROOT, load_workloads
 
 
 def _check_pinned(workload, seed, monkeypatch):
@@ -41,7 +28,7 @@ def _check_pinned(workload, seed, monkeypatch):
     workdir = PERFBENCH / "work" / f"tier1-{workload}-{seed}-{os.getpid()}"
     monkeypatch.chdir(ROOT)  # argv paths are relative to the checkout root
     try:
-        manifest = _load_workloads().generate(workload, seed, ROOT, workdir)
+        manifest = load_workloads().generate(workload, seed, ROOT, workdir)
         assert {op["key"] for op in manifest["ops"]} == set(pinned)
         for op in manifest["ops"]:
             out = io.StringIO()

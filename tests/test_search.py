@@ -11,6 +11,7 @@ from ocws import (
     Graph,
     SearchConfig,
     SearchError,
+    automorphism_generators,
     certify_distance,
     corrects_weight,
     enumerate_paulis,
@@ -27,7 +28,16 @@ from ocws import (
 )
 from ocws import search
 from ocws.search import _GREEDY_RESTARTS, _parity_kernel
-from conftest import WORDS_8_1, WORDS_9_3, Clock, bits, compatible, random_graph
+from conftest import (
+    WORDS_8_1,
+    WORDS_9_3,
+    Clock,
+    bits,
+    compatible,
+    random_graph,
+    read_graph_file,
+    symmetric_searches,
+)
 
 
 def _skeleton(n, r):
@@ -512,13 +522,19 @@ _GNP13 = ["0111111111", "1000001110", "1000000011", "1000010101", "1000000100",
           "1001000110", "1100000000", "1101110000", "1110010000", "1011000000"]
 
 
-def test_exact_node_counts(monkeypatch):
+def test_exact_node_counts(monkeypatch, tmp_path):
     """Decision calls, a node count that does not depend on machine speed."""
     decisions = _count_calls(monkeypatch, "_exists_clique")
     colorings = _count_calls(monkeypatch, "_branch_order")
     assert search_code(SearchConfig(ring_graph(9), 0, 3))[0].K == 12
-    # 5422 with no difference dropped and full colorings, 3527 with no twin pruning
-    assert len(decisions) == 2803
+    # 5422 with no difference dropped and full colorings, 3527 with no twin
+    # pruning, 2803 without orbit dropping
+    assert len(decisions) == 911
+    decisions.clear()
+    # the same ring from an adjacency file, as the bench reads it, gets the same group
+    ring9 = read_graph_file(tmp_path, ring_graph(9))
+    assert search_code(SearchConfig(ring9, 0, 3))[0].K == 12
+    assert len(decisions) == 911
     decisions.clear()
     assert search_code(SearchConfig(from_adjacency(_GNP13), 1, 3))[0].K == 8
     # 3537 with no twin pruning
@@ -529,6 +545,85 @@ def test_exact_node_counts(monkeypatch):
         search_code(SearchConfig(ring_graph(n), 1, 3))
         # the root coloring refutes the first raise on its own
         assert (len(decisions), len(colorings)) == (0, 1)
+
+
+def test_group_is_built_only_once_the_raise_refutes_a_difference(monkeypatch):
+    """Greedy mode and raises whose root coloring refutes build no group."""
+    builds = _count_calls(monkeypatch, "automorphism_generators")
+    search_code(SearchConfig(ring_graph(9), 0, 3, mode="greedy"))
+    search_code(SearchConfig(ring_graph(10), 1, 3))
+    search_code(SearchConfig(ring_graph(12), 1, 4))
+    assert builds == []
+    search_code(SearchConfig(ring_graph(9), 0, 3))
+    assert len(builds) == 1
+
+
+def _apply(columns, a):
+    """Image of coordinate vector a under the linear map with these column images."""
+    image = 0
+    for i, column in enumerate(columns):
+        if a >> i & 1:
+            image ^= column
+    return image
+
+
+def test_kernel_maps_keep_the_forbidden_set_and_the_kernel(tmp_path):
+    """Each map is invertible and keeps F; each qubit permutation keeps the kernel."""
+    for graph, r, d in symmetric_searches(tmp_path):
+        config = SearchConfig(graph, r, d)
+        compatibility, basis = search._compatibility(config)
+        k = len(basis)
+        kernel = {_apply(basis, a) for a in range(1 << k)}
+        s = graph.n - r
+        for p in automorphism_generators(graph, s):
+            moved = {sum(1 << p[q] for q in range(s) if w >> q & 1) for w in kernel}
+            assert moved == kernel, (graph, r, p)
+        for columns in compatibility.symmetries():
+            assert len(columns) == k
+            assert sorted(_apply(columns, a) for a in range(1 << k)) == list(range(1 << k))
+            image = frozenset(_apply(columns, f) for f in compatibility.forbidden)
+            assert image == compatibility.forbidden, (graph, r, d, columns)
+
+
+def test_orbit_closure_matches_the_listed_group():
+    """On ring-9 r=0 the 18 maps, listed by closure, give the same orbits."""
+    compatibility, basis = search._compatibility(SearchConfig(ring_graph(9), 0, 3))
+    generators = compatibility.symmetries()
+    k = len(basis)
+    identity = tuple(1 << i for i in range(k))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        columns = frontier.pop()
+        for g in generators:
+            composed = tuple(_apply(g, c) for c in columns)
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    assert len(group) == 18
+    for v in range(1 << k):
+        listed = sum(1 << b for b in {_apply(columns, v) for columns in group})
+        assert search._orbit(v, generators) == listed
+
+
+def test_orbit_dropping_matches_the_plain_raise(monkeypatch, tmp_path):
+    """The same K and words with the group as with none, and orbits do drop."""
+    dropped = []
+    orbit = search._orbit
+
+    def recording(v, maps):
+        dropped.append(orbit(v, maps))
+        return dropped[-1]
+
+    monkeypatch.setattr(search, "_orbit", recording)
+    for graph, r, d in symmetric_searches(tmp_path):
+        config = SearchConfig(graph, r, d)
+        with_orbits = search_code(config)
+        with monkeypatch.context() as m:
+            m.setattr(search, "automorphism_generators", lambda graph, s: [])
+            plain = search_code(config)
+        assert with_orbits == plain, (graph, r, d)
+    # 110 orbits of two or more differences drop on these graphs
+    assert sum(mask.bit_count() > 1 for mask in dropped) > 50
 
 
 def test_distance_one_search_caches_no_row(monkeypatch):
