@@ -9,6 +9,7 @@ Output is byte-identical across runs for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .verify import certify_distance, corrects_weight, detects_set  # noqa: F401
 __all__ = ["main"]
 
 
+@functools.cache  # a parser holds reference cycles; build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ocws",

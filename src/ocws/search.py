@@ -27,8 +27,9 @@ translation by v maps the pool onto itself, so each refuted child drops
 with its twin, the child xor v.  Colorings clear a class with one AND of a
 cached closed non-neighborhood mask per vertex and check the deadline once
 per class.  The lex-least pass keeps every difference, prunes no twin,
-uses no group and resumes at vertex 0.  One verifier sweep re-checks each
-found code.
+uses no group and resumes at vertex 0.  Greedy restarts draw the same
+permutations as random.shuffle on random.Random(seed), drawn inline.  One
+verifier sweep re-checks each found code.
 """
 
 from __future__ import annotations
@@ -316,10 +317,30 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
     return sorted(best), True
 
 
+def _shuffle(order: list[int], getrandbits: Callable[[int], int]) -> None:
+    """random.Random.shuffle, drawing the same bits without a _randbelow per step.
+
+    The stdlib's Fisher-Yates draws j below i + 1 as k = (i + 1).bit_length()
+    random bits, drawn again while j > i.  Here k is held over each block of
+    steps that share it, so the permutation and the generator's state after
+    it equal the stdlib's.
+    """
+    i = len(order) - 1
+    while i > 0:
+        k = (i + 1).bit_length()
+        stop = (1 << (k - 1)) - 2  # the block ends at i = 2^(k-1) - 1
+        for i in range(i, stop, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        i = stop
+
+
 def _greedy_cliques(
     graph: CompatibilityGraph, seed: int, deadline: float | None
 ) -> tuple[list[int], bool]:
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     rows = _Rows(graph)
     everything = (1 << len(graph)) - 1
     best: list[int] = []
@@ -327,7 +348,7 @@ def _greedy_cliques(
     for _ in range(_GREEDY_RESTARTS):
         if deadline is not None and time.monotonic() > deadline and best:
             break
-        rng.shuffle(order)
+        _shuffle(order, getrandbits)
         clique: list[int] = []
         pool = everything
         for v in order:
@@ -373,8 +394,10 @@ def find_max_clique(
     by the budget.  A run out of time, in the raise or in that pass,
     returns the largest clique proven so far, flagged incomplete.  Greedy
     mode takes the best of seeded randomized restarts on the same bitmasks
-    and is never flagged complete.  Output is deterministic for a given
-    mode and seed.
+    and is never flagged complete; each restart extends along the
+    permutation random.shuffle would draw on random.Random(seed), drawn
+    inline, and the budget is checked once per restart.  Output is
+    deterministic for a given mode and seed.
     """
     deadline = None
     if config.time_budget is not None:

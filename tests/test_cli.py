@@ -1,7 +1,12 @@
 """End-to-end CLI behavior through main(argv), including exact output bytes."""
 
+import gc
 import glob
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +20,7 @@ from ocws import (
     ring_graph,
     write_code_file,
 )
-from ocws import search
+from ocws import cli, search
 from ocws.cli import main
 from conftest import Clock, fixture_path, random_code, random_graph
 
@@ -352,3 +357,39 @@ def test_adjacency_size_mismatch_exits_two(capsys, tmp_path):
     )
     assert code == 2
     assert "does not match" in err
+
+
+def test_second_main_call_leaves_no_parser_garbage(capsys):
+    argv = ["verify", fixture_path("8_1_1_3.ocws"), "--format", "lines"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leaked == []
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ocws.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_usage_error_then_valid_call_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = ["search", "--graph", "ring", "--n", "8", "--r", "1", "--mode", "fast"]
+    good = ["search", "--graph", "ring", "--n", "8", "--r", "1", "--distance", "3",
+            "--mode", "greedy", "--seed", "3"]
+    first = run(capsys, *bad)
+    assert first[0] == 2 and "invalid choice" in first[2]
+    second = run(capsys, *good)
+    assert second[0] == 0
+    assert (first, second) == (_fresh_process(bad), _fresh_process(good))

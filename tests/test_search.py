@@ -27,7 +27,7 @@ from ocws import (
     write_code_file,
 )
 from ocws import search
-from ocws.search import _GREEDY_RESTARTS, _parity_kernel
+from ocws.search import _GREEDY_RESTARTS, _parity_kernel, _shuffle
 from conftest import (
     WORDS_8_1,
     WORDS_9_3,
@@ -727,6 +727,18 @@ def _pairwise_greedy(graph, seed):
         if len(clique) > len(best) or (len(clique) == len(best) and clique < best):
             best = clique
     return best
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_inline_shuffle_matches_random_shuffle(seed):
+    for m in (1, 2, 3, 5, 6, *(1 << k for k in range(1, 13))):
+        reference, rng = random.Random(seed), random.Random(seed)
+        expected, order = list(range(m)), list(range(m))
+        for _ in range(4):  # consecutive restarts start from the last permutation
+            reference.shuffle(expected)
+            _shuffle(order, rng.getrandbits)
+            assert order == expected, m
+            assert rng.getstate() == reference.getstate(), m
 
 
 def _greedy_graphs():
