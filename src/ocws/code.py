@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graph import Graph, adjacency_lines, from_adjacency, ring_graph, stabilizer_generator
-from .pauli import (
-    PauliOperator,
-    format_bits,
-    parse_bits,
-    parse_zstring,
-)
+from .pauli import PauliOperator, format_bits, parse_bits, parse_zstring
 
 __all__ = [
     "OcwsCode",
@@ -205,6 +200,14 @@ def gauge_decomposition(code: OcwsCode, p: PauliOperator) -> str | None:
     return "*".join(parts) if parts else "identity"
 
 
+# the integer keys, each with its message for a value below 1; new_code checks r
+_INT_KEYS = {
+    "n": "n must be >= 1, got {}",
+    "r": None,
+    "distance": "claimed distance {} must be >= 1",
+}
+
+
 def parse_code_file(text: str) -> OcwsCode:
     """Parse the line-oriented code file format.
 
@@ -215,10 +218,9 @@ def parse_code_file(text: str) -> OcwsCode:
     precede the adjacency block).  Words are 0/1 strings or I/Z strings of
     length n.  Round-trips exactly with write_code_file().
     """
-    n: int | None = None
-    r: int | None = None
+    ints: dict[str, int] = {}
+    seen: set[str] = set()
     graph: Graph | None = None
-    distance: int | None = None
     words: list[int] = []
     pending_rows: list[str] | None = None
 
@@ -228,7 +230,7 @@ def parse_code_file(text: str) -> OcwsCode:
             continue
         if pending_rows is not None:
             pending_rows.append(line)
-            if len(pending_rows) == n:
+            if len(pending_rows) == ints["n"]:
                 try:
                     graph = from_adjacency(pending_rows)
                 except ValueError as exc:
@@ -240,61 +242,40 @@ def parse_code_file(text: str) -> OcwsCode:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "n":
-            if n is not None:
-                raise CodeFileError(f"line {lineno}: duplicate key 'n'")
-            n = _parse_int(value, lineno, "n")
-            if n < 1:
-                raise CodeFileError(f"line {lineno}: n must be >= 1, got {n}")
-        elif key == "r":
-            if r is not None:
-                raise CodeFileError(f"line {lineno}: duplicate key 'r'")
-            r = _parse_int(value, lineno, "r")
-        elif key == "distance":
-            if distance is not None:
-                raise CodeFileError(f"line {lineno}: duplicate key 'distance'")
-            distance = _parse_int(value, lineno, "distance")
-            if distance < 1:
-                raise CodeFileError(f"line {lineno}: claimed distance {distance} must be >= 1")
-        elif key == "graph":
-            if graph is not None or pending_rows is not None:
-                raise CodeFileError(f"line {lineno}: duplicate key 'graph'")
-            if value == "ring":
-                if n is None:
-                    raise CodeFileError(f"line {lineno}: 'n' must precede 'graph'")
-                try:
-                    graph = ring_graph(n)
-                except ValueError as exc:
-                    raise CodeFileError(f"line {lineno}: {exc}") from exc
-            elif value == "adjacency:":
-                if n is None:
-                    raise CodeFileError(f"line {lineno}: 'n' must precede 'graph'")
-                pending_rows = []
-            else:
-                raise CodeFileError(
-                    f"line {lineno}: graph must be 'ring' or 'adjacency:', got {value!r}"
-                )
-        elif key == "word":
-            if n is None:
-                raise CodeFileError(f"line {lineno}: 'n' must precede 'word'")
-            words.append(_parse_word(value, n, lineno))
-        else:
+        if key in seen and key != "word":
+            raise CodeFileError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
+        if key in _INT_KEYS:
+            number = ints[key] = _parse_int(value, lineno, key)
+            if _INT_KEYS[key] is not None and number < 1:
+                raise CodeFileError(f"line {lineno}: {_INT_KEYS[key].format(number)}")
+        elif key not in ("graph", "word"):
             raise CodeFileError(f"line {lineno}: unknown key {key!r}")
+        elif key == "graph" and value not in ("ring", "adjacency:"):
+            raise CodeFileError(
+                f"line {lineno}: graph must be 'ring' or 'adjacency:', got {value!r}"
+            )
+        elif "n" not in ints:
+            raise CodeFileError(f"line {lineno}: 'n' must precede {key!r}")
+        elif key == "word":
+            words.append(_parse_word(value, ints["n"], lineno))
+        elif value == "ring":
+            try:
+                graph = ring_graph(ints["n"])
+            except ValueError as exc:
+                raise CodeFileError(f"line {lineno}: {exc}") from exc
+        else:
+            pending_rows = []
 
     if pending_rows is not None:
         raise CodeFileError(
-            f"adjacency block ended after {len(pending_rows)} of {n} rows"
+            f"adjacency block ended after {len(pending_rows)} of {ints['n']} rows"
         )
-    if n is None:
-        raise CodeFileError("missing required key 'n'")
-    if r is None:
-        raise CodeFileError("missing required key 'r'")
-    if graph is None:
-        raise CodeFileError("missing required key 'graph'")
-    if not words:
-        raise CodeFileError("missing required key 'word'")
+    for key in ("n", "r", "graph", "word"):
+        if key not in seen:
+            raise CodeFileError(f"missing required key {key!r}")
     try:
-        return new_code(graph, r, tuple(words), distance)
+        return new_code(graph, ints["r"], tuple(words), ints.get("distance"))
     except ValueError as exc:
         raise CodeFileError(str(exc)) from exc
 

@@ -7,8 +7,9 @@ the i-th stabilizer generator X_i Z^{row_i}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .pauli import PauliOperator, format_bits
 
@@ -168,7 +169,7 @@ class _BasePath:
     def __init__(self, graph: Graph, s: int):
         self.rows = graph.rows
         self.nodes = _AUTOMORPHISM_NODES
-        self.word = word = (1 << s) - 1
+        word = (1 << s) - 1
         self.path = [self.refine([c for c in (word, ((1 << graph.n) - 1) ^ word) if c])]
         self.bases: list[tuple[int, int]] = []  # (cell index, vertex) by level
         while (index := _first_open_cell(self.path[-1][0])) is not None:
@@ -204,13 +205,15 @@ class _BasePath:
         return None
 
     def _leaf(self, cells: list[int]) -> tuple[int, ...] | None:
-        """The map from the base path's leaf to cells, if it keeps the graph and blocks."""
+        """The map from the base path's leaf to cells, if it keeps the graph.
+
+        It keeps the blocks too: individualizing and refining split cells in
+        place, so the word block's descendants lead every partition.
+        """
         rows = self.rows
         image = [0] * len(rows)
         for source, target in zip(self.path[-1][0], cells):
             image[source.bit_length() - 1] = target.bit_length() - 1
-        if sum(1 << image[v] for v in range(self.word.bit_length())) != self.word:
-            return None
         for v, row in enumerate(rows):
             moved = sum(1 << image[u] for u in range(len(rows)) if row >> u & 1)
             if rows[image[v]] != moved:
@@ -229,36 +232,44 @@ def automorphism_generators(graph: Graph, s: int) -> list[tuple[int, ...]]:
     cell that the generators found so far do not reach; the maps found at a
     level and below then generate the stabilizer of the base vertices above
     it.  The search makes at most _AUTOMORPHISM_NODES refinements; past
-    them it returns the generators it has, a subgroup.
+    them it returns the generators it has, a subgroup, and none if they
+    run out on the base path.
     """
     if not 1 <= s <= graph.n:
         raise ValueError(f"word block size s={s} out of range 1..{graph.n}")
-    base = _BasePath(graph, s)
     generators: list[tuple[int, ...]] = []
     try:
+        base = _BasePath(graph, s)
         for level in reversed(range(len(base.bases))):
             index, v = base.bases[level]
             cells = base.path[level][0]
-            rest = cells[index] & ~_orbit_of(v, generators)
+            rest = cells[index] & ~_orbit_of(v, generators, operator.getitem)
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 found = base.map_onto(level, cells, bit.bit_length() - 1)
                 if found is not None:
                     generators.append(found)
-                    rest &= ~_orbit_of(v, generators)
+                    rest &= ~_orbit_of(v, generators, operator.getitem)
     except _NodeLimit:
         pass
     return generators
 
 
-def _orbit_of(v: int, permutations: list[tuple[int, ...]]) -> int:
-    """Bitmask of the orbit of vertex v under the permutations."""
+def _orbit_of(
+    v: int, generators: Sequence[tuple[int, ...]], act: Callable[[tuple[int, ...], int], int]
+) -> int:
+    """Bitmask of the orbit of point v under the group the generators make.
+
+    act(g, u) is the image of point u under generator g: a permutation's
+    entry here, a linear map's image in the search's kernel coordinates.
+    """
     orbit, frontier = 1 << v, [v]
     while frontier:
         u = frontier.pop()
-        for p in permutations:
-            if not orbit >> p[u] & 1:
-                orbit |= 1 << p[u]
-                frontier.append(p[u])
+        for g in generators:
+            image = act(g, u)
+            if not orbit >> image & 1:
+                orbit |= 1 << image
+                frontier.append(image)
     return orbit

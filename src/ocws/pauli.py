@@ -115,15 +115,7 @@ def weight(p: PauliOperator) -> int:
 
 def parse_bits(text: str) -> tuple[int, int]:
     """Parse a 0/1 string into ``(n, mask)`` with qubit 1 at the leftmost char."""
-    if not text:
-        raise ValueError("empty bit string")
-    mask = 0
-    for pos, char in enumerate(text):
-        if char == "1":
-            mask |= 1 << pos
-        elif char != "0":
-            raise ValueError(f"invalid bit {char!r} at position {pos + 1}")
-    return len(text), mask
+    return _parse_letters(text, "01", "bit string", "bit")
 
 
 def format_bits(bits: int, n: int) -> str:
@@ -133,14 +125,20 @@ def format_bits(bits: int, n: int) -> str:
 
 def parse_zstring(text: str) -> tuple[int, int]:
     """Parse an I/Z string into ``(n, mask)`` of Z positions."""
+    return _parse_letters(text, "IZ", "Z string", "Z-string character")
+
+
+def _parse_letters(text: str, letters: str, name: str, unit: str) -> tuple[int, int]:
+    """``(n, mask)`` of a string over two letters, with the second one's positions set."""
     if not text:
-        raise ValueError("empty Z string")
+        raise ValueError(f"empty {name}")
+    zero, one = letters
     mask = 0
     for pos, char in enumerate(text):
-        if char == "Z":
+        if char == one:
             mask |= 1 << pos
-        elif char != "I":
-            raise ValueError(f"invalid Z-string character {char!r} at position {pos + 1}")
+        elif char != zero:
+            raise ValueError(f"invalid {unit} {char!r} at position {pos + 1}")
     return len(text), mask
 
 

@@ -8,25 +8,22 @@ the zero class of the reduced induced images, lives here.  Two candidates
 can coexist in a code of target distance d exactly when their XOR
 difference avoids every gauge-reduced induced error of weight <= d - 1.
 In the coordinates of a fully reduced echelon basis of the kernel, the
-compatibility graph is therefore a Cayley graph over GF(2)^k, and a
-maximum clique is a maximum-size word set.  The parity constraints, the
-kernel basis and the coordinates all come from code._GF2Basis.  The
-coordinate map preserves order, so the lexicographically least clique maps
-to the least word set.  Both search modes work on the same neighborhood
-bitmasks.  The exact one raises the ascending walk from vertex 0, which is
-the lexicode and is built a coset at a time, by a decision branch-and-bound
-that branches only on vertices colored at least the size sought and drops,
-by translation, each difference that fails to extend.  It drops the
-difference's whole orbit under the graph's automorphisms that keep the
-gauge block, carried to kernel coordinates: such a qubit permutation keeps
-the forbidden set, so it is an automorphism of the Cayley graph that fixes
-0 (orbit pruning as in Kaski & Östergård, "Classification Algorithms for
-Codes and Designs", 2006).  The group is built, as generators, only when
-the raise first refutes a difference.  In the root branch on v, the
-translation by v maps the pool onto itself, so each refuted child drops
-with its twin, the child xor v.  Colorings clear a class with one AND of a
-cached closed non-neighborhood mask per vertex and check the deadline once
-per class.  The lex-least pass keeps every difference, prunes no twin,
+compatibility graph is therefore CompatibilityGraph(k, forbidden), a
+Cayley graph on the ints 0..2^k - 1, and a maximum clique is a
+maximum-size word set.  The parity constraints, the kernel basis and the
+coordinates all come from code._GF2Basis.  The coordinate map preserves
+order, so the lexicographically least clique maps to the least word set.
+
+The exact mode raises the ascending walk from vertex 0, which is the
+lexicode and is built a coset at a time, by a decision branch-and-bound
+that branches only on vertices colored at least the size sought.  The
+raise drops each difference that fails to extend, with its whole orbit
+under the graph's automorphisms that keep the gauge block, carried to
+kernel coordinates (orbit pruning as in Kaski & Östergård,
+"Classification Algorithms for Codes and Designs", 2006).  The group is
+built, as generators, only when the raise first refutes a difference.
+In the root branch on v, each refuted child drops with its twin, the
+child xor v.  The lex-least pass keeps every difference, prunes no twin,
 uses no group and resumes at vertex 0.  Greedy restarts draw the same
 permutations as random.shuffle on random.Random(seed), drawn inline.  One
 verifier sweep re-checks each found code.
@@ -35,12 +32,13 @@ verifier sweep re-checks each found code.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .code import OcwsCode, _GF2Basis, new_code
-from .graph import Graph, automorphism_generators
+from .graph import Graph, _orbit_of, automorphism_generators
 # enumerate_paulis, induced_error_set, certify_distance and corrects_weight
 # stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, induced_error_set  # noqa: F401
@@ -118,27 +116,23 @@ def forbidden_differences(code_skeleton: OcwsCode, max_error_weight: int) -> fro
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """Cayley graph on range(2^k); edges join pairs with an allowed difference.
+    """Cayley graph on the 2^k vectors of GF(2)^k, as the ints 0..2^k - 1.
 
-    The graph is vertex-transitive, with every neighborhood an XOR
-    translate of the neighborhood of 0.
+    Edges join pairs whose XOR difference is not forbidden.  The graph is
+    vertex-transitive, with every neighborhood an XOR translate of the
+    neighborhood of 0.
     """
 
-    candidates: range
+    k: int
     forbidden: frozenset[int]
     # generators of linear maps that keep `forbidden`, each as its k column
     # images, built only when the raise first refutes a difference
-    symmetries: Callable[[], list[tuple[int, ...]]] | None = field(
-        default=None, compare=False, repr=False
+    symmetries: Callable[[], list[tuple[int, ...]]] = field(
+        default=lambda: [], compare=False, repr=False
     )
 
-    def __post_init__(self) -> None:
-        m = len(self.candidates) if isinstance(self.candidates, range) else 0
-        if m == 0 or m & (m - 1) or self.candidates != range(m):
-            raise ValueError(f"candidates must be range(2**k), got {self.candidates!r}")
-
     def __len__(self) -> int:
-        return len(self.candidates)
+        return 1 << self.k
 
 
 class _Deadline(Exception):
@@ -259,21 +253,14 @@ def _lex_least_clique(rows: _Rows, size: int, deadline: float | None) -> list[in
     return clique
 
 
-def _orbit(v: int, maps: list[tuple[int, ...]]) -> int:
-    """Bitmask of the orbit of v under the group the linear maps generate."""
-    orbit, frontier = 1 << v, [v]
-    while frontier:
-        a = frontier.pop()
-        for columns in maps:
-            image, rest = 0, a
-            while rest:
-                low = rest & -rest
-                image ^= columns[low.bit_length() - 1]
-                rest ^= low
-            if not orbit >> image & 1:
-                orbit |= 1 << image
-                frontier.append(image)
-    return orbit
+def _combine(columns: tuple[int, ...] | list[int], a: int) -> int:
+    """XOR of the columns at the set bits of a: a's image under that linear map."""
+    image = 0
+    while a:
+        low = a & -a
+        image ^= columns[low.bit_length() - 1]
+        a ^= low
+    return image
 
 
 def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tuple[list[int], bool]:
@@ -289,6 +276,10 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
         pool &= rows.translate(pool, v)
     walk = len(best)
     maps = None
+    # _exists_clique recurses once per vertex it adds, here and in the lex-least
+    # pass, and a clique through 0 holds at most 1 + |row of 0| vertices
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + allowed.bit_count() + 1)
     try:
         order = _branch_order(rows, allowed, len(best), deadline)
         while order:
@@ -304,8 +295,8 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
                 # v; for a linear map A keeping the forbidden set, A^-1 maps one
                 # through 0 and A(v) onto one through 0 and v: the orbit drops
                 if maps is None:
-                    maps = graph.symmetries() if graph.symmetries else []
-                allowed &= ~_orbit(v, maps)
+                    maps = graph.symmetries()
+                allowed &= ~_orbit_of(v, maps, _combine)
             else:
                 best = [0, v, *found]
                 order = _branch_order(rows, allowed, len(best), deadline)
@@ -314,6 +305,8 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
             best = _lex_least_clique(rows, len(best), deadline)
     except _Deadline:
         return sorted(best), False
+    finally:
+        sys.setrecursionlimit(limit)
     return sorted(best), True
 
 
@@ -344,7 +337,7 @@ def _greedy_cliques(
     rows = _Rows(graph)
     everything = (1 << len(graph)) - 1
     best: list[int] = []
-    order = list(graph.candidates)
+    order = list(range(len(graph)))
     for _ in range(_GREEDY_RESTARTS):
         if deadline is not None and time.monotonic() > deadline and best:
             break
@@ -368,36 +361,16 @@ def _greedy_cliques(
 def find_max_clique(
     compatibility: CompatibilityGraph, config: SearchConfig
 ) -> tuple[list[int], bool]:
-    """Largest clique of candidate words plus a completeness flag.
+    """Largest clique of the compatibility graph plus a completeness flag.
 
-    Exact mode starts from the ascending walk at vertex 0 (the lowest vertex
-    left in the pool joins).  The walk is the lexicode, a subspace built a
-    coset at a time, and the least maximal clique.  A decision
-    branch-and-bound that branches only on vertices whose greedy color
-    reaches the size sought raises it one vertex at a time; the first size
-    refuted proves the last one maximum.  A neighbor v of 0 on no larger
-    clique through 0 is a difference no larger clique holds, so the raise
-    drops it for good, with its orbit under the compatibility graph's
-    `symmetries`: for a linear map A that keeps the forbidden set, A^-1
-    maps a larger clique through 0 and A(v) onto one through 0 and v.
-    search_code gives the graph's automorphisms that keep the gauge block,
-    carried to kernel coordinates, and builds them only at the first
-    refuted difference; an automorphism search cut at its node limit gives
-    a subgroup, which drops less but stays sound.  Below the root branch on
-    v, x -> x xor v keeps the pool and swaps 0 with v, so a refuted child's
-    twin, the child xor v, is refuted too and drops with it (twin pruning,
-    at depth one only, with no group).  Orbits drop in the raise only.
-    After a raise, the lex-least pass, which keeps every difference, prunes
-    no twin and uses no group, picks the least clique of the raised size,
-    starting at vertex 0.  The budget is checked once per color class, the
-    root coloring's too; the group build is bounded by its node limit, not
-    by the budget.  A run out of time, in the raise or in that pass,
-    returns the largest clique proven so far, flagged incomplete.  Greedy
-    mode takes the best of seeded randomized restarts on the same bitmasks
-    and is never flagged complete; each restart extends along the
-    permutation random.shuffle would draw on random.Random(seed), drawn
-    inline, and the budget is checked once per restart.  Output is
-    deterministic for a given mode and seed.
+    Reads config.mode, config.time_budget and, in greedy mode, config.seed.
+    Exact mode returns the lexicographically least maximum clique, which
+    holds vertex 0, flagged complete; cut by the budget, it returns the
+    largest clique proven so far, flagged incomplete.  Greedy mode returns
+    the best of seeded restarts and is never flagged complete.  The clique
+    is sorted, and the output is deterministic for a given mode and seed.
+    The budget is checked once per color class or once per restart;
+    building the automorphism group is bounded by its node limit instead.
     """
     deadline = None
     if config.time_budget is not None:
@@ -464,7 +437,7 @@ def _compatibility(config: SearchConfig) -> tuple[CompatibilityGraph, list[int]]
         coordinates.add(row, 1 << i)
     in_kernel = (coordinates.decompose(f) for f in forbidden)
     graph = CompatibilityGraph(
-        range(1 << len(basis)),
+        len(basis),
         frozenset(a for a in in_kernel if a is not None),
         lambda: _kernel_maps(config.graph, config.s, basis, coordinates),
     )
@@ -487,13 +460,7 @@ def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:
             f"no word set of size >= {config.target_K} found; best is {k}",
             best_k=k,
         )
-    words = []
-    for a in clique:
-        word = 0
-        for i, row in enumerate(basis):
-            if a >> i & 1:
-                word ^= row
-        words.append(word)
+    words = [_combine(basis, a) for a in clique]
     code = new_code(config.graph, config.r, tuple(words))
     result = analyze(code, t)
     if result.distance < config.target_distance or result.degenerate is not None:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv), including exact output bytes."""
 
+import dataclasses
 import gc
 import glob
 import os
@@ -250,7 +251,7 @@ def test_search_adjacency_file_graph(capsys, tmp_path):
     assert out.startswith("CODE n=5 r=2 K=8 d=")
 
 
-def test_search_unreachable_target_exits_one(capsys):
+def test_search_unreachable_target_exits_one(capsys, monkeypatch):
     code, out, err = run(
         capsys,
         "search", "--graph", "ring", "--n", "8", "--r", "1",
@@ -259,6 +260,15 @@ def test_search_unreachable_target_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("search failed: ")
+    # a found word set that re-verification rejects
+    analyze = search.analyze
+    monkeypatch.setattr(
+        search, "analyze", lambda code, t: dataclasses.replace(analyze(code, t), distance=2)
+    )
+    code, out, err = run(capsys, "search", "--graph", "ring", "--n", "8", "--r", "1",
+                         "--distance", "3")
+    assert (code, out) == (1, "")
+    assert err == "search failed: found word set of size 2 failed verification at distance 3\n"
 
 
 def test_oracle_check_passes_fixture(capsys):
@@ -316,8 +326,11 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(bad_file))
     assert (code, err) == (2, "error: bad adjacency block: invalid adjacency entry ' ' at (1,2)\n")
     ring5 = fixture_path("ring5_r2.ocws")
+    too_many_gauges = tmp_path / "gauges.ocws"
+    too_many_gauges.write_text("n = 3\nr = 5\ngraph = ring\nword = 000\n")
     for argv, message in (
         (["verify", ring5, "--distance", "0"], "distance 0 must be >= 1"),
+        (["verify", str(too_many_gauges)], "gauge count r=5 out of range for n=3"),
         (["oracle-check", ring5, "--weight", "-1"], "--weight -1 out of range for n=5"),
         (["oracle-check", ring5, "--weight", "6"], "--weight 6 out of range for n=5"),
         (["oracle-check", fixture_path("8_1_1_3.ocws"), "--tol", "-1"],

@@ -43,6 +43,9 @@ def test_word_operator_is_z_type(code_8_1_1_3):
 def test_rejects_word_on_gauge_qubit():
     with pytest.raises(ValueError, match="gauge qubit 8"):
         new_code(ring_graph(8), 1, (0, bits("00000001")))
+    for word in (1 << 8, -1):
+        with pytest.raises(ValueError, match="^word 2 out of range for n=8$"):
+            new_code(ring_graph(8), 1, (0, word))
 
 
 def test_rejects_duplicate_words():
@@ -60,6 +63,8 @@ def test_rejects_bad_gauge_count():
         new_code(ring_graph(5), 5, (0,))
     with pytest.raises(ValueError):
         new_code(ring_graph(5), -1, (0,))
+    with pytest.raises(ValueError, match="^claimed distance 0 must be >= 1$"):
+        new_code(ring_graph(5), 1, (0,), claimed_distance=0)
 
 
 def test_gauge_generators_labels_and_count(code_8_1_1_3):
@@ -249,6 +254,8 @@ def test_code_file_errors():
          "line 4: claimed distance 0 must be >= 1"),
         # a negative distance fails on its own line, before any word is read
         ("n = 3\ndistance = -1\nword = 0\n", "line 2: claimed distance -1 must be >= 1"),
+        # new_code's own checks come through with its message
+        ("n = 3\nr = 5\ngraph = ring\nword = 000\n", "gauge count r=5 out of range for n=3"),
     ):
         with pytest.raises(CodeFileError) as info:
             parse_code_file(text)

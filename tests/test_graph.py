@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ocws import graph as graph_module
 from ocws import (
     Graph,
     adjacency_lines,
@@ -119,10 +120,28 @@ def _group_order(generators, n):
     return len(seen)
 
 
-def test_automorphism_generators_keep_the_graph_and_the_gauge_block(tmp_path):
+def _union_of_cycles(*lengths):
+    """Disjoint cycles on consecutive vertices, the last cycle holding the last vertex."""
+    rows, start = [], 0
+    for length in lengths:
+        for i in range(length):
+            rows.append(1 << start + (i - 1) % length | 1 << start + (i + 1) % length)
+        start += length
+    return Graph(start, tuple(rows))
+
+
+def test_automorphism_generators_keep_the_graph_and_the_gauge_block(tmp_path, monkeypatch):
     for graph, r, _d in symmetric_searches(tmp_path):
         for p in automorphism_generators(graph, graph.n - r):
             assert _is_block_automorphism(graph, graph.n - r, p), (graph, r, p)
+    # a search cut at its node limit, on the base path (3) or past it (20),
+    # returns a subgroup of the generators
+    graph = _union_of_cycles(6, 3, 3)
+    for nodes in (3, 20):
+        monkeypatch.setattr(graph_module, "_AUTOMORPHISM_NODES", nodes)
+        for s in (12, 11):
+            generators = automorphism_generators(graph, s)
+            assert all(_is_block_automorphism(graph, s, p) for p in generators), (nodes, s)
 
 
 def test_automorphism_group_orders(tmp_path):
@@ -137,6 +156,24 @@ def test_automorphism_group_orders(tmp_path):
     # 2^(n/2) (n/2)! for K_n minus a perfect matching, then a vertex's stabilizer
     for n, r, order in ((6, 0, 48), (6, 1, 8), (8, 0, 384), (8, 1, 48)):
         assert _group_order(automorphism_generators(complete_minus_matching(n), n - r), n) == order
+    # cycles of equal length trade places, so maps onto some first leaves
+    # fail on a refinement trace; then a gauge vertex on a C3 and on a C4
+    for graph, order, gauge_order in (
+        (_union_of_cycles(6, 3, 3), 864, 144), (_union_of_cycles(4, 4, 4), 3072, 256)
+    ):
+        assert _group_order(automorphism_generators(graph, 12), 12) == order
+        assert _group_order(automorphism_generators(graph, 11), 12) == gauge_order
+    # 4-regular graphs with 1 and 4 automorphisms (counted by networkx) whose
+    # search reaches a leaf that is no automorphism, and a level whose every child fails
+    for lines, order in (
+        (["0100100011", "1000001101", "0001110100", "0010100110", "1011010000",
+          "0010101010", "0100010101", "0111001000", "1001010001", "1100001010"], 1),
+        (["0100011010", "1010000011", "0100110001", "0000110110", "0011000101",
+          "1011001000", "1000010101", "0001101010", "1101000100", "0110101000"], 4),
+    ):
+        graph = from_adjacency(lines)
+        assert _group_order(automorphism_generators(graph, 10), 10) == order
+        assert _group_order(automorphism_generators(graph, 9), 10) == 1
     workloads = load_workloads()
     for seed, _K in workloads.GNP_BASES:
         graph = Graph(10, workloads.gnp_rows(10, seed))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ def _skeleton(n, r):
 
 
 def _ring_graph(n, r, d):
-    return CompatibilityGraph(range(1 << (n - r)), forbidden_differences(_skeleton(n, r), d - 1))
+    return CompatibilityGraph(n - r, forbidden_differences(_skeleton(n, r), d - 1))
 
 
 def _weight1_classes(code):
@@ -135,14 +136,14 @@ def test_forbidden_differences_equal_the_per_pauli_classes():
 
 
 def test_max_clique_on_complete_graph():
-    graph = CompatibilityGraph(range(8), frozenset())
+    graph = CompatibilityGraph(3, frozenset())
     clique, complete = find_max_clique(graph, SearchConfig(ring_graph(5), 2, 1))
     assert complete
     assert sorted(clique) == list(range(8))
 
 
 def test_max_clique_on_edgeless_graph():
-    graph = CompatibilityGraph(range(8), frozenset(range(1, 8)))
+    graph = CompatibilityGraph(3, frozenset(range(1, 8)))
     clique, complete = find_max_clique(graph, SearchConfig(ring_graph(5), 2, 1))
     assert complete
     assert len(clique) == 1
@@ -151,7 +152,7 @@ def test_max_clique_on_edgeless_graph():
 def test_max_clique_nine_ring_reaches_eight():
     skel = _skeleton(9, 1)
     config = SearchConfig(ring_graph(9), 1, 3)
-    graph = CompatibilityGraph(range(1 << config.s), forbidden_differences(skel, 2))
+    graph = CompatibilityGraph(config.s, forbidden_differences(skel, 2))
     clique, complete = find_max_clique(graph, config)
     assert complete
     assert len(clique) == 8
@@ -161,7 +162,7 @@ def test_max_clique_nine_ring_reaches_eight():
 def test_budget_exhaustion_flags_incomplete():
     skel = _skeleton(9, 1)
     config = SearchConfig(ring_graph(9), 1, 3, time_budget=1e-9)
-    graph = CompatibilityGraph(range(1 << config.s), forbidden_differences(skel, 2))
+    graph = CompatibilityGraph(config.s, forbidden_differences(skel, 2))
     _clique, complete = find_max_clique(graph, config)
     assert not complete
 
@@ -169,8 +170,7 @@ def test_budget_exhaustion_flags_incomplete():
 def test_exact_beats_or_matches_greedy():
     skel = _skeleton(9, 1)
     forbidden = forbidden_differences(skel, 2)
-    cands = range(1 << 8)
-    graph = CompatibilityGraph(cands, forbidden)
+    graph = CompatibilityGraph(8, forbidden)
     exact, _ = find_max_clique(graph, SearchConfig(ring_graph(9), 1, 3))
     greedy, _ = find_max_clique(graph, SearchConfig(ring_graph(9), 1, 3, mode="greedy"))
     assert len(exact) >= len(greedy)
@@ -179,8 +179,7 @@ def test_exact_beats_or_matches_greedy():
 def test_greedy_is_deterministic_for_a_seed():
     skel = _skeleton(8, 1)
     forbidden = forbidden_differences(skel, 2)
-    cands = range(1 << 7)
-    graph = CompatibilityGraph(cands, forbidden)
+    graph = CompatibilityGraph(7, forbidden)
     config = SearchConfig(ring_graph(8), 1, 3, mode="greedy", seed=5)
     first, _ = find_max_clique(graph, config)
     second, _ = find_max_clique(graph, config)
@@ -439,7 +438,7 @@ def _exact_reference_graphs():
         r = seed % 3
         d, s = ((2, 5), (2, 6), (3, 7), (3, 8))[seed // 3 % 4]
         skel = new_code(random_graph(rng, s + r), r, (0,))
-        yield CompatibilityGraph(range(1 << s), forbidden_differences(skel, d - 1))
+        yield CompatibilityGraph(s, forbidden_differences(skel, d - 1))
     # ring-10 r=0 at d=3 does not finish, so it is searched at d=4
     for n, r in itertools.product((8, 9, 10), (0, 1, 2)):
         d = 4 if (n, r) == (10, 0) else 3
@@ -457,15 +456,13 @@ def _forbidden_set_graphs():
     for k in range(4):
         nonzero = range(1, 1 << k)
         for chosen in itertools.product((False, True), repeat=len(nonzero)):
-            yield CompatibilityGraph(
-                range(1 << k), frozenset(f for f, c in zip(nonzero, chosen) if c)
-            )
+            yield CompatibilityGraph(k, frozenset(f for f, c in zip(nonzero, chosen) if c))
     rng = random.Random(9)
     for k in (4, 5, 6):
         for _ in range(40):
             density = rng.random()
             yield CompatibilityGraph(
-                range(1 << k), frozenset(f for f in range(1, 1 << k) if rng.random() < density)
+                k, frozenset(f for f in range(1, 1 << k) if rng.random() < density)
             )
 
 
@@ -482,11 +479,10 @@ def test_twin_pruning_decides_pools_closed_under_the_twin():
     the pool's clique number and refutes one vertex more."""
     rng = random.Random(1)
     for _ in range(550):
-        m = 1 << rng.choice((4, 5, 6))
+        k = rng.choice((4, 5, 6))
+        m = 1 << k
         density = rng.random()
-        graph = CompatibilityGraph(
-            range(m), frozenset(f for f in range(1, m) if rng.random() < density)
-        )
+        graph = CompatibilityGraph(k, frozenset(f for f in range(1, m) if rng.random() < density))
         reference = _reference_rows(graph)
         twin, keep = rng.randrange(1, m), rng.random()
         pool = 0
@@ -602,19 +598,19 @@ def test_orbit_closure_matches_the_listed_group():
     assert len(group) == 18
     for v in range(1 << k):
         listed = sum(1 << b for b in {_apply(columns, v) for columns in group})
-        assert search._orbit(v, generators) == listed
+        assert search._orbit_of(v, generators, search._combine) == listed
 
 
 def test_orbit_dropping_matches_the_plain_raise(monkeypatch, tmp_path):
     """The same K and words with the group as with none, and orbits do drop."""
     dropped = []
-    orbit = search._orbit
+    orbit = search._orbit_of
 
-    def recording(v, maps):
-        dropped.append(orbit(v, maps))
+    def recording(v, maps, act):
+        dropped.append(orbit(v, maps, act))
         return dropped[-1]
 
-    monkeypatch.setattr(search, "_orbit", recording)
+    monkeypatch.setattr(search, "_orbit_of", recording)
     for graph, r, d in symmetric_searches(tmp_path):
         config = SearchConfig(graph, r, d)
         with_orbits = search_code(config)
@@ -662,6 +658,25 @@ def test_distance_one_walk_translates_once_per_dimension(monkeypatch):
     calls = _count_translates(monkeypatch)
     assert search_code(SearchConfig(ring_graph(12), 0, 1))[0].K == 1 << 12
     assert len(calls) <= 12
+
+
+def test_raise_deeper_than_the_recursion_limit_completes():
+    """The decision routine recurses once per vertex of the clique it seeks.
+
+    This walk has 64 vertices and the maximum clique 128, so the raise and
+    the lex-least pass recurse past a limit of 100; the search lifts the
+    limit for its own run and then restores it.
+    """
+    graph = CompatibilityGraph(8, frozenset({18, 108, 112}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        clique, complete = find_max_clique(graph, SearchConfig(ring_graph(5), 2, 3))
+        assert sys.getrecursionlimit() == 100
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (len(clique), complete) == (128, True)
+    assert len(_reference_walk(_reference_rows(graph))) == 64
 
 
 def test_budget_ending_in_the_lex_least_pass_flags_incomplete(monkeypatch):
@@ -715,7 +730,7 @@ def _pairwise_greedy(graph, seed):
     """Greedy multistart with a pairwise adjacency test per clique member."""
     rng = random.Random(seed)
     best = []
-    order = list(graph.candidates)
+    order = list(range(len(graph)))
     for _ in range(_GREEDY_RESTARTS):
         rng.shuffle(order)
         clique = []
@@ -746,9 +761,9 @@ def _greedy_graphs():
         yield _ring_graph(n, r, d)
     rng = random.Random(3)
     for k in (2, 4, 6, 7):
-        yield CompatibilityGraph(range(1 << k), frozenset(rng.sample(range(1, 1 << k), k)))
-    yield CompatibilityGraph(range(16), frozenset())
-    yield CompatibilityGraph(range(16), frozenset(range(1, 16)))
+        yield CompatibilityGraph(k, frozenset(rng.sample(range(1, 1 << k), k)))
+    yield CompatibilityGraph(4, frozenset())
+    yield CompatibilityGraph(4, frozenset(range(1, 16)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -758,10 +773,3 @@ def test_greedy_matches_pairwise_reference(seed):
         clique, complete = find_max_clique(graph, config)
         assert not complete
         assert clique == _pairwise_greedy(graph, seed)
-
-
-def test_compatibility_graph_needs_a_power_of_two_range():
-    for candidates in ((0, 1, 2, 3), range(1, 9), range(0, 16, 2), range(6), range(0)):
-        with pytest.raises(ValueError, match="range"):
-            CompatibilityGraph(candidates, frozenset())
-    assert len(CompatibilityGraph(range(1), frozenset())) == 1
