@@ -194,12 +194,13 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
     if not 0 <= args.weight <= code.n:
         raise ValueError(f"--weight {args.weight} out of range for n={code.n}")
-    check_dense_size(code.n)  # before the sweep, which alone can exhaust memory
+    check_dense_size(code.n, code.K << code.r)  # before the sweep or the basis is built
     errors = enumerate_paulis(code.n, args.weight, include_identity=True)
     report = oqec_check(code, errors, args.tol)  # rejects a bad --tol before any output
     _comment(
         args,
-        f"oracle-check {args.codefile}: {len(errors)} errors, tolerance {args.tol:g}",
+        f"oracle-check {args.codefile}: {len(errors)} errors, "
+        f"{report.products} products, tolerance {args.tol:g}",
     )
     print(f"max_off_block = {report.max_off_block:.6e}")
     print(f"max_block_deviation = {report.max_block_deviation:.6e}")

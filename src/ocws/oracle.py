@@ -3,7 +3,7 @@
 Everything here is brute force on purpose: the code space is materialized
 as explicit vectors and the correctability condition is checked by direct
 matrix arithmetic, independently of the symbolic GF(2) machinery.  Memory
-bounds the qubit count at 14.
+bounds the qubit count at 14 and the codeword basis at 2^22 entries.
 
 For every pair of swept errors, the matrix of E_a E_b in the codeword
 basis must vanish between logical sectors and act identically (up to a
@@ -13,6 +13,14 @@ Every Pauli acts through `_act`.  The residual sweep gathers every
 product into one reused buffer, so no product allocates a new 2^n-wide
 array: gathering and then multiplying into fresh arrays cost over 10^5
 minor page faults per sweep on a ring-10 code, against a few hundred.
+
+Each product's K diagonal gauge blocks are copied into a second buffer of
+at most an eighth of the basis entries, and a full buffer is compared in a
+few array operations per sector, for all its products at once: a `vdot`
+and a norm per sector pair per product were 40% of an `oracle-check` run
+on a ring-10 code with K = 8.  The comparison still subtracts the phase-aligned
+blocks and takes the norm of their difference, never a closed-form norm
+identity, for the reason `oqec_check` gives.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
 ]
 
 _MAX_DENSE_QUBITS = 14
+_MAX_BASIS_ENTRIES = 1 << 22
 
 
 def _act(
@@ -81,12 +90,22 @@ class OqecCheckReport:
     max_block_deviation: float
     tolerance: float
     passed: bool
+    products: int
 
 
-def check_dense_size(n: int) -> None:
-    """Reject qubit counts whose dense states would not fit in memory."""
+def check_dense_size(n: int, rows: int = 1) -> None:
+    """Reject dense states, or a basis of `rows` of them, too large for memory.
+
+    A residual sweep holds about five arrays of at most the basis's entries,
+    each 64 MiB at the limit of 2^22 complex values.
+    """
     if n > _MAX_DENSE_QUBITS:
         raise ValueError(f"n={n} too large for dense states (limit {_MAX_DENSE_QUBITS})")
+    if rows << n > _MAX_BASIS_ENTRIES:
+        raise ValueError(
+            f"codeword basis of shape ({rows}, {1 << n}) too large for dense states "
+            f"(limit {_MAX_BASIS_ENTRIES} entries)"
+        )
 
 
 def build_graph_state(graph: Graph) -> DenseState:
@@ -129,6 +148,7 @@ def _basis_matrix(code: OcwsCode, base: np.ndarray | None = None) -> np.ndarray:
     where pattern(b) places b on the gauge qubits.  Orthonormality is
     enforced to 1e-10.
     """
+    check_dense_size(code.n, code.K << code.r)
     if base is None:
         base = build_graph_state(code.graph).amplitudes
     basis = np.array(
@@ -145,27 +165,64 @@ def codeword_basis(code: OcwsCode) -> list[DenseState]:
     return [DenseState(code.n, row) for row in _basis_matrix(code)]
 
 
+def _products(errors: list[PauliOperator]) -> set[tuple[int, int]]:
+    """The (x, z) of E_a E_b for every ordered pair, phase dropped."""
+    return {(a.x ^ b.x, a.z ^ b.z) for a in errors for b in errors}
+
+
+def _block_deviation(blocks: np.ndarray) -> float:
+    """Largest phase-aligned distance between two sectors' blocks of one product.
+
+    blocks[p, l] is the gauge block of sector l for buffered product p.  For
+    each sector l, all later sectors mm of all products are compared at
+    once, as `np.vdot(D_mm, D_l)` per pair would: the phase is inner/|inner|,
+    or 1 when |inner| is 0, and the result is the norm of D_l - phase * D_mm.
+    """
+    count, K, g, _ = blocks.shape
+    flat = blocks.reshape(count, K, g * g)
+    worst = 0.0
+    for l in range(K - 1):
+        own = flat[:, l, None, :]
+        rest = flat[:, l + 1 :, :]
+        inner = np.vecdot(rest, own)
+        size = np.abs(inner)
+        phase = np.divide(inner, size, out=np.ones_like(inner), where=size > 0.0)
+        diff = (own - phase[..., None] * rest).view(float)
+        worst = max(worst, float(np.vecdot(diff, diff).max(initial=0.0)))
+    return float(np.sqrt(worst))
+
+
 def _residuals(
     code: OcwsCode, basis: np.ndarray, errors: list[PauliOperator]
 ) -> tuple[float, float]:
+    """Largest off-block entry and largest block deviation over all products.
+
+    One gemm per distinct product gives its matrix in the codeword basis.
+    Its diagonal gauge blocks go to a buffer of at most an eighth of the
+    basis entries, compared by `_block_deviation` whenever it is full and
+    once more at the end, so no temporary grows as K^2 g^2.  The blocks are
+    subtracted explicitly after phase alignment, as `oqec_check` requires.
+    """
     K = code.K
     g = 1 << code.r
-    products = {(a.x ^ b.x, a.z ^ b.z) for a in errors for b in errors}
+    products = _products(errors)
     conj = np.conj(basis)
     moved = np.empty_like(basis)
     off_block = ~np.eye(K, dtype=bool)[:, None, :, None]
+    capacity = min(max(1, basis.size // (8 * K * g * g)), len(products))
+    blocks = np.empty((capacity, K, g, g), dtype=complex)
+    filled = 0
     max_off = 0.0
     max_dev = 0.0
     for x, z in products:
         m = (conj @ _act(basis, x, z, out=moved).T).reshape(K, g, K, g)
         max_off = max(max_off, float(np.abs(m).max(where=off_block, initial=0.0)))
-        for l in range(K):
-            for mm in range(l + 1, K):
-                inner = np.vdot(m[mm, :, mm, :], m[l, :, l, :])
-                phase = inner / abs(inner) if abs(inner) > 0.0 else 1.0
-                dev = np.linalg.norm(m[l, :, l, :] - phase * m[mm, :, mm, :])
-                max_dev = max(max_dev, float(dev))
-    return max_off, max_dev
+        blocks[filled] = m.diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
+        filled += 1
+        if filled == len(blocks):
+            max_dev = max(max_dev, _block_deviation(blocks))
+            filled = 0
+    return max_off, max(max_dev, _block_deviation(blocks[:filled]))
 
 
 def oqec_check(
@@ -194,4 +251,5 @@ def oqec_check(
         max_block_deviation=max_dev,
         tolerance=tol,
         passed=max_off <= tol and max_dev <= tol,
+        products=len(_products(errors)),
     )

@@ -23,6 +23,7 @@ from ocws import (
 )
 from ocws import cli, search
 from ocws.cli import main
+from ocws.oracle import check_dense_size
 from conftest import Clock, fixture_path, random_code, random_graph
 
 RING5_CLASS_LINES = """\
@@ -352,6 +353,28 @@ def test_oracle_check_rejects_large_codes_before_enumerating(capsys, tmp_path, m
     assert code == 2
     assert out == ""
     assert err == "error: n=15 too large for dense states (limit 14)\n"
+
+
+def test_oracle_check_rejects_large_bases_before_allocating(capsys, tmp_path, monkeypatch):
+    """A K = 2^14 code on 14 qubits would need 4 GiB per basis-shaped array."""
+    message = (
+        "codeword basis of shape (16384, 16384) too large for dense states "
+        "(limit 4194304 entries)"
+    )
+    with pytest.raises(ValueError) as info:
+        check_dense_size(14, 1 << 14)
+    assert str(info.value) == message
+    check_dense_size(14, 256)  # 2^22 entries, the limit itself
+    with pytest.raises(ValueError, match=r"\(257, 16384\)"):
+        check_dense_size(14, 257)
+    path = tmp_path / "ring14_all.ocws"
+    path.write_text(write_code_file(new_code(ring_graph(14), 0, range(1 << 14))))
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("errors enumerated before the size check")
+
+    monkeypatch.setattr("ocws.cli.enumerate_paulis", enumerate_nothing)
+    assert run(capsys, "oracle-check", str(path), "--weight", "0") == (2, "", f"error: {message}\n")
 
 
 def test_adjacency_size_mismatch_exits_two(capsys, tmp_path):

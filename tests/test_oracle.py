@@ -1,5 +1,6 @@
 """Dense state-vector oracle, cross-checked against explicit matrices."""
 
+import math
 import random
 
 import numpy as np
@@ -24,6 +25,7 @@ from ocws import (
     ring_graph,
     stabilizer_generator,
 )
+from ocws import oracle
 from ocws.oracle import _basis_matrix, _residuals
 from conftest import random_code, random_graph
 
@@ -294,3 +296,101 @@ def test_residuals_equal_reference_exactly():
         errors = enumerate_paulis(code.n, w, include_identity=True)
         got = _residuals(code, basis, errors)
         assert got == _reference_residuals(code, basis, errors), (code, w)
+
+
+def _complex_basis(nprng, code):
+    """Random orthonormal complex rows, logical index major like _basis_matrix.
+
+    Sector 0 lives on the even indices only, so its gauge block vanishes
+    for every product with an X on qubit 1, and that product's pairs with
+    sector 0 have |inner| = 0.
+    """
+    g = 1 << code.r
+    dim = 1 << code.n
+
+    def orthonormal(a):
+        return np.linalg.qr(a.T)[0].T
+
+    def normal(rows, cols):
+        return nprng.normal(size=(rows, cols)) + 1j * nprng.normal(size=(rows, cols))
+
+    basis = np.zeros((code.K * g, dim), dtype=complex)
+    basis[:g, ::2] = orthonormal(normal(g, dim // 2))
+    rest = normal(code.K * g - g, dim)
+    rest -= (rest @ basis[:g].conj().T) @ basis[:g]
+    basis[g:] = orthonormal(rest)
+    return basis
+
+
+def test_residuals_match_reference_on_complex_bases(monkeypatch):
+    """Phase alignment on non-zero deviations, checked to 1e-12.
+
+    Graph-state bases give real blocks and zero deviations on every case
+    above; random complex bases give deviations near 1, phases of both
+    signs and, for X1, pairs of inner 0.  With K = 2 and the identity
+    swept beside X1, the deviation is that of X1's one pair: the norm of
+    sector 1's block.  The batched comparison sums in another order than
+    vdot and norm, so the two can differ in the last ulp.
+    """
+    buffers = []
+    block_deviation = oracle._block_deviation
+
+    def recording(blocks):
+        buffers.append(len(blocks))
+        return block_deviation(blocks)
+
+    monkeypatch.setattr(oracle, "_block_deviation", recording)
+    rng = random.Random(61)
+    nprng = np.random.default_rng(61)
+    partial = 0
+    for n, r, K in [(4, 1, 2), (5, 0, 5), (6, 1, 2), (6, 2, 4), (7, 1, 6)]:
+        code = random_code(rng, random_graph(rng, n), r, K)
+        basis = _complex_basis(nprng, code)
+        assert not np.any(basis[: 1 << r, 1::2])
+        x1 = parse_pauli("X" + "I" * (n - 1))
+        for errors in ([identity(n), x1], enumerate_paulis(n, 1, include_identity=True)):
+            buffers.clear()
+            got = _residuals(code, basis, errors)
+            want = _reference_residuals(code, basis, errors)
+            assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want)), (
+                code, len(errors), got, want
+            )
+            assert got[1] > 0.01
+        # the weight-1 sweep fills several buffers, then compares what is left
+        assert len(buffers) >= 3 and buffers[-1] < buffers[0], buffers
+        partial += buffers[-1] > 0
+    assert partial >= 2
+
+
+def test_block_deviation_aligns_complex_phases():
+    """Random complex blocks, compared pair by pair with vdot and norm.
+
+    A Pauli product's blocks are all Hermitian or all anti-Hermitian, so
+    through _residuals every inner product is real and the phase is +1 or
+    -1 on any basis.  Only blocks like these have complex inner products,
+    on which conjugating the wrong side would show.
+    """
+    nprng = np.random.default_rng(67)
+    for count, K, g in [(1, 2, 1), (3, 3, 2), (2, 5, 4)]:
+        shape = (count, K, g, g)
+        blocks = nprng.normal(size=shape) + 1j * nprng.normal(size=shape)
+        blocks[0, 1] = 0.0
+        devs = []
+        for d in blocks:
+            for l in range(K):
+                for mm in range(l + 1, K):
+                    inner = np.vdot(d[mm], d[l])
+                    phase = inner / abs(inner) if abs(inner) > 0.0 else 1.0
+                    devs.append(float(np.linalg.norm(d[l] - phase * d[mm])))
+                    got = oracle._block_deviation(d[None, [l, mm]])
+                    assert math.isclose(got, devs[-1], rel_tol=1e-12), (shape, l, mm)
+        assert math.isclose(oracle._block_deviation(blocks), max(devs), rel_tol=1e-12)
+    assert oracle._block_deviation(np.empty((0, 3, 2, 2), dtype=complex)) == 0.0
+
+
+def test_basis_size_limit_applies_to_the_library(monkeypatch, code_8_1_1_3, code_9_4_1_3):
+    """oqec_check refuses a basis over the limit before it builds anything."""
+    monkeypatch.setattr(oracle, "_MAX_BASIS_ENTRIES", 4 << 8)
+    assert oqec_check(code_8_1_1_3, [identity(8)]).passed  # 4 x 256 entries
+    with pytest.raises(ValueError, match=r"basis of shape \(\d+, 512\) too large"):
+        oqec_check(code_9_4_1_3, [identity(9)])

@@ -1,6 +1,6 @@
 """Every benchmark op still prints the stdout pinned for seed 1.
 
-The held-out seed 1009 runs too, on gf2-verify and search-exact.
+The held-out seed 1009 runs too, on every workload.
 
 perfbench/expected.json pins the stdout sha256 of every op, and the
 workload generator its exit code.
@@ -48,6 +48,8 @@ def test_ops_match_pinned_digests(workload, monkeypatch):
     _check_pinned(workload, 1, monkeypatch)
 
 
-@pytest.mark.parametrize("workload", ["search-exact", "gf2-verify"])
+@pytest.mark.parametrize(
+    "workload", ["search-exact", "gf2-verify", "oracle-dense", "search-greedy"]
+)
 def test_held_out_seed_ops_match_pinned_digests(workload, monkeypatch):
     _check_pinned(workload, 1009, monkeypatch)
