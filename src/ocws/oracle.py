@@ -193,11 +193,12 @@ def _block_deviation(blocks: np.ndarray) -> float:
 
 
 def _residuals(
-    code: OcwsCode, basis: np.ndarray, errors: list[PauliOperator]
+    code: OcwsCode, basis: np.ndarray, products: set[tuple[int, int]]
 ) -> tuple[float, float]:
-    """Largest off-block entry and largest block deviation over all products.
+    """Largest off-block entry and largest block deviation over the products.
 
-    One gemm per distinct product gives its matrix in the codeword basis.
+    products holds distinct (x, z) pairs, as `_products` gives them.  One
+    gemm per product gives its matrix in the codeword basis.
     Its diagonal gauge blocks go to a buffer of at most an eighth of the
     basis entries, compared by `_block_deviation` whenever it is full and
     once more at the end, so no temporary grows as K^2 g^2.  The blocks are
@@ -205,7 +206,6 @@ def _residuals(
     """
     K = code.K
     g = 1 << code.r
-    products = _products(errors)
     conj = np.conj(basis)
     moved = np.empty_like(basis)
     off_block = ~np.eye(K, dtype=bool)[:, None, :, None]
@@ -245,11 +245,12 @@ def oqec_check(
         if e.n != code.n:
             raise ValueError(f"operator length {e.n} does not match code n={code.n}")
     basis = _basis_matrix(code)
-    max_off, max_dev = _residuals(code, basis, errors)
+    products = _products(errors)
+    max_off, max_dev = _residuals(code, basis, products)
     return OqecCheckReport(
         max_off_block=max_off,
         max_block_deviation=max_dev,
         tolerance=tol,
         passed=max_off <= tol and max_dev <= tol,
-        products=len(_products(errors)),
+        products=len(products),
     )

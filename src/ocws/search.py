@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _GREEDY_RESTARTS = 128
+_ROW_CACHE_BYTES = 64 << 20
 
 
 class SearchError(Exception):
@@ -144,6 +145,7 @@ class _Rows(dict):
 
     Coloring clears a vertex and its neighbors from a class with one AND of
     its mask.  Every row is an XOR translate of `base`, the row of vertex 0.
+    Masks are kept up to _ROW_CACHE_BYTES; past that they are recomputed.
     """
 
     def __init__(self, graph: CompatibilityGraph):
@@ -157,10 +159,13 @@ class _Rows(dict):
         forbidden = sum(1 << f for f in graph.forbidden if f < m)
         self._everything = (1 << m) - 1
         self.base = (self._everything ^ 1) & ~forbidden
+        self._room = _ROW_CACHE_BYTES // (m // 8 + 1)
 
     def __missing__(self, index: int) -> int:
         # kept nonnegative: an AND with a negative int copies it first
-        mask = self[index] = self._everything ^ (self.translate(self.base, index) | 1 << index)
+        mask = self._everything ^ (self.translate(self.base, index) | 1 << index)
+        if len(self) < self._room:
+            self[index] = mask
         return mask
 
     def translate(self, mask: int, t: int) -> int:

@@ -10,14 +10,15 @@ every word operator; one that anticommutes with a word blocks correction.
 
 Two independent routes are provided.  The operator route is one sweep,
 analyze(), over the canonical gauge residues of the Paulis by ascending
-weight: a residue in the word-pair table marks an undetectable error and
-a zero residue a gauge element, so detection and degeneracy read the same
-sweep.  certify_distance, corrects_weight and the CLI verdict all read its
-result; it XORs per-qubit residues and builds only the Paulis it tests or
-reports.  The classical route reduces every error to its induced Z
-bit-vector, one Pauli at a time, and compares translated word sets.  They
-must agree on every code.  detects_set looks a given error list up in
-the word-pair table of analyze, so it is not a third independent route.
+weight: a residue in the set of word differences marks an undetectable
+error and a zero residue a gauge element, so detection and degeneracy
+read the same sweep.  certify_distance, corrects_weight and the CLI
+verdict all read its result; it XORs per-qubit residues and builds only
+the Paulis it tests or reports.  The classical route reduces every error
+to its induced Z bit-vector, one Pauli at a time, and compares translated
+word sets.  They must agree on every code.  detects_set looks a given
+error list up in the same set of word differences, so it is not a third
+independent route.
 """
 
 from __future__ import annotations
@@ -63,43 +64,39 @@ class DetectionReport:
         return not self.failures
 
 
-def _pair_table(code: OcwsCode) -> dict[int, tuple[int, int]]:
-    """Canonical residue of each word-pair difference, keyed to its first pair.
+def _differences(words: tuple[int, ...]) -> set[int]:
+    """Every word-pair difference c_i xor c_j, i != j.
 
-    w_i E w_j lies in the gauge group exactly when the symplectic vector of
-    E and the pure-Z vector c_i xor c_j share a canonical residue, so one
-    residue lookup per error replaces the per-pair membership tests.  The
-    canonical map is linear, so each word is reduced once and a pair's
-    residue is the XOR of its two words' residues.  Every pair residue lies
-    in the span of the word residues, so rows stop once the table has them all.
+    w_i E w_j lies in the gauge group exactly when E's canonical residue is
+    c_i xor c_j: a word lies on qubits 1..s, clear of every pivot of the
+    gauge basis (the X bits and the gauge qubits' Z bits), so it is its own
+    residue, and 0 is no difference.  The differences span what the c_1 xor
+    c_j span, so rows stop once the set holds every nonzero vector of it.
     """
-    basis = gauge_generators(code).basis
-    residues = [basis.canonical(c) for c in code.words]
     span = _GF2Basis()
-    for r in residues:
-        span.add(r)
-    # 0 is a key only when two words share a residue
-    keys = (1 << span.rank) - (len(set(residues)) == len(residues))
-    table: dict[int, tuple[int, int]] = {}
-    for i, ri in enumerate(residues, start=1):
-        if len(table) == keys:
+    for c in words[1:]:
+        span.add(words[0] ^ c)
+    nonzero = (1 << span.rank) - 1
+    differences: set[int] = set()
+    for i, c in enumerate(words, start=1):
+        if len(differences) == nonzero:
             break
-        for j, rj in enumerate(residues[i:], start=i + 1):
-            table.setdefault(ri ^ rj, (i, j))
-    return table
+        differences.update([c ^ d for d in words[i:]])
+    return differences
 
 
 def _first_failure(
-    code: OcwsCode, e: PauliOperator, table: dict[int, tuple[int, int]]
+    code: OcwsCode, e: PauliOperator, differences: set[int]
 ) -> DetectionFailure | None:
+    """e's first confusable word pair: the least i, then its partner j."""
     if e.n != code.n:
         raise ValueError(f"operator length {e.n} does not match code n={code.n}")
-    basis = gauge_generators(code).basis
-    residue = basis.canonical((e.x << code.n) | e.z)
-    hit = table.get(residue)
-    if hit is None:
+    residue = gauge_generators(code).basis.canonical((e.x << code.n) | e.z)
+    if residue not in differences:
         return None
-    i, j = hit
+    index = {c: j for j, c in enumerate(code.words, start=1)}
+    # the least i with a partner comes first, so its partner j follows it
+    i, j = next((i, index[c ^ residue]) for c, i in index.items() if c ^ residue in index)
     product = multiply(multiply(code.word_operator(i - 1), e), code.word_operator(j - 1))
     decomposition = gauge_decomposition(code, product)
     assert decomposition is not None
@@ -109,10 +106,10 @@ def _first_failure(
 def detects_set(code: OcwsCode, errors) -> DetectionReport:
     """Check every error; the report lists each failure with one witness pair."""
     errors = list(errors)
-    table = _pair_table(code)
+    differences = _differences(code.words)
     failures = []
     for e in errors:
-        failure = _first_failure(code, e, table)
+        failure = _first_failure(code, e, differences)
         if failure is not None:
             failures.append(failure)
     return DetectionReport(len(errors), tuple(failures))
@@ -144,7 +141,7 @@ class Analysis:
 def analyze(code: OcwsCode, t: int) -> Analysis:
     """Sweep the canonical gauge residues of the Paulis by ascending weight, once.
 
-    The first residue that a word pair's difference shares is the first
+    The first residue in the set of word differences is the first
     undetectable error; the sweep stops there, and its weight is the
     certified distance (n + 1 when every nonidentity Pauli is detectable;
     with a single word no pair exists and only weights <= t are swept).
@@ -156,20 +153,21 @@ def analyze(code: OcwsCode, t: int) -> Analysis:
         raise ValueError(f"weight bound t={t} must be >= 0")
     n = code.n
     t = min(t, n)
-    table = _pair_table(code)
     canonical = gauge_generators(code).basis.canonical
     residues = [canonical(1 << (q + n)) for q in range(n)], [canonical(1 << q) for q in range(n)]
-    table.setdefault(0, None)  # a gauge element, whether or not a word pair shares it
+    keys = _differences(code.words)
+    keys.add(0)  # a gauge element: 0 is no word difference, so no failure
     degenerate = None
     for w in range(1, (n if code.K > 1 else t) + 1):
-        for support, i, residue in image_positions(pauli_images(*residues, w), table.keys()):
-            if residue == 0 and w <= t and degenerate is None:
+        for support, i, residue in image_positions(pauli_images(*residues, w), keys):
+            if residue:
+                failure = _first_failure(code, pauli_at(n, support, i), keys)
+                return Analysis(w, failure, degenerate)
+            if w <= t and degenerate is None:
                 e = pauli_at(n, support, i)
                 odd = (l for l, c in enumerate(code.words, start=1) if (e.x & c).bit_count() % 2)
                 if word := next(odd, 0):
                     degenerate = DegenerateFailure(e, word)
-            if table[residue] is not None:
-                return Analysis(w, _first_failure(code, pauli_at(n, support, i), table), degenerate)
     return Analysis(n + 1, None, degenerate)
 
 

@@ -26,7 +26,7 @@ from ocws import (
     stabilizer_generator,
 )
 from ocws import oracle
-from ocws.oracle import _basis_matrix, _residuals
+from ocws.oracle import _basis_matrix, _products, _residuals
 from conftest import random_code, random_graph
 
 _I = np.eye(2)
@@ -180,7 +180,7 @@ def test_gauge_transformed_base_leaves_residuals(code_8_1_1_3):
     code = code_8_1_1_3
     errors = enumerate_paulis(code.n, 1, include_identity=True)
     base = build_graph_state(code.graph)
-    off0, dev0 = _residuals(code, _basis_matrix(code), errors)
+    off0, dev0 = _residuals(code, _basis_matrix(code), _products(errors))
     gens = gauge_generators(code).generators
     rng = random.Random(13)
     for _ in range(5):
@@ -189,7 +189,7 @@ def test_gauge_transformed_base_leaves_residuals(code_8_1_1_3):
             if rng.random() < 0.5:
                 g = multiply(g, gen)
         moved = apply_pauli(g, base)
-        off1, dev1 = _residuals(code, _basis_matrix(code, moved.amplitudes), errors)
+        off1, dev1 = _residuals(code, _basis_matrix(code, moved.amplitudes), _products(errors))
         assert abs(off1 - off0) <= 1e-10
         assert abs(dev1 - dev0) <= 1e-10
 
@@ -294,7 +294,7 @@ def test_residuals_equal_reference_exactly():
     for code, w in cases:
         basis = _basis_matrix(code)
         errors = enumerate_paulis(code.n, w, include_identity=True)
-        got = _residuals(code, basis, errors)
+        got = _residuals(code, basis, _products(errors))
         assert got == _reference_residuals(code, basis, errors), (code, w)
 
 
@@ -350,7 +350,7 @@ def test_residuals_match_reference_on_complex_bases(monkeypatch):
         x1 = parse_pauli("X" + "I" * (n - 1))
         for errors in ([identity(n), x1], enumerate_paulis(n, 1, include_identity=True)):
             buffers.clear()
-            got = _residuals(code, basis, errors)
+            got = _residuals(code, basis, _products(errors))
             want = _reference_residuals(code, basis, errors)
             assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want)), (
                 code, len(errors), got, want

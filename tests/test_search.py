@@ -1,7 +1,9 @@
 """Clique search over candidate word sets."""
 
 import itertools
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -639,6 +641,34 @@ def test_distance_one_search_caches_no_row(monkeypatch):
     code, _ = search_code(SearchConfig(ring_graph(12), 0, 1))
     assert code.K == 1 << 12
     assert calls == []
+
+
+# runs one ring-18 r=0 d=3 search per budget, then prints its status and peak RSS in KiB
+_PEAK_CHILD = """
+import resource, sys
+from ocws.cli import main
+for budget in sys.argv[2:]:
+    status = main(["search", "--graph", "ring", "--n", "18", "--r", "0", "--distance", "3",
+                   "--budget", budget, "--out", sys.argv[1] + budget, "--format", "lines"])
+    print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_row_cache_keeps_the_peak_of_a_k18_search_bounded(tmp_path):
+    """A full row cache at k = 18 is 8 GiB; held to its byte budget, a longer search costs no more.
+
+    With no bound, the peak on a 2-CPU host was 225 MB at --budget 1 and 620 MB at 3.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(search.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", _PEAK_CHILD, str(tmp_path / "found"), "1", "3"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, check=True, timeout=120)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4
+    for code_line, tail in (lines[:2], lines[2:]):
+        assert code_line.startswith("CODE n=18 r=0 K=")
+        status, peak = map(int, tail.split())
+        assert status == 0
+        assert peak < 160 * 1024
 
 
 def _count_translates(monkeypatch):

@@ -49,3 +49,43 @@ def test_worker_imports_resolve_on_ocws():
     ]
     assert names, "worker.py no longer imports from ocws"
     assert [name for name in names if not hasattr(ocws, name)] == []
+
+
+def _unread_imports(source):
+    """Names an import binds that the module never reads, as pyflakes' F401 finds them.
+
+    A name is read where it loads as a Name or is listed in __all__; star
+    and __future__ imports bind no name to check.
+    """
+    imported, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return imported - read
+
+
+def test_unread_import_check_flags_only_unread_names():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport re as regex\n"
+        "from a import b, c as d, e\nfrom f import *\n__all__ = ['e']\nprint(d, regex)\n"
+    )
+    assert _unread_imports(source) == {"os", "b"}
+
+
+def test_every_unread_import_in_ocws_is_bound_for_spans():
+    """A stand-in for the unused-import lint: only the names spans.py rebinds may go unread."""
+    spans = _load_spans()
+    bound = {(m, a) for m, a, _ in spans.WRAPPED + spans.COUNTED_GENERATORS}
+    unread = {
+        ("ocws" if path.stem == "__init__" else f"ocws.{path.stem}", name)
+        for path in Path(ocws.__file__).parent.glob("*.py")
+        for name in _unread_imports(path.read_text())
+    }
+    assert sorted(unread - bound) == []

@@ -30,7 +30,7 @@ from ocws import (
 )
 from ocws.cli import main
 from ocws import verify
-from ocws.verify import _pair_table
+from ocws.verify import _differences
 from conftest import detects, random_code, random_graph
 
 
@@ -391,7 +391,7 @@ def test_verify_prints_degenerate_witness_when_distance_holds(capsys, tmp_path):
 
 
 def _per_pair_table(code):
-    """Reference pair table: reduce every word-pair difference on its own."""
+    """Reference: the canonical residue of every word-pair difference, to its first pair."""
     basis = gauge_generators(code).basis
     table = {}
     for (i, ci), (j, cj) in itertools.combinations(enumerate(code.words, start=1), 2):
@@ -399,22 +399,43 @@ def _per_pair_table(code):
     return table
 
 
-def test_pair_table_matches_per_pair_reduction(code_9_3_1_3):
+def _difference_cases(fixture):
+    """A fixture code, 60 random codes and every word of ring-8 r=0."""
     rng = random.Random(31)
-    codes = [code_9_3_1_3]
-    for _ in range(40):
-        n = rng.randint(3, 9)
+    codes = [fixture]
+    for _ in range(60):
+        n = rng.randint(3, 8)
         r = rng.randint(0, 2)
-        codes.append(random_code(rng, random_graph(rng, n), r, rng.randint(1, min(24, 1 << (n - r)))))
-    # every word of ring-8 r=0: the first row already holds all 255 keys of the span
-    every_word = new_code(ring_graph(8), 0, tuple(range(256)))
-    # words on qubits 1..s never share a residue, since pure-Z gauge elements
-    # lie on the gauge qubits, so a repeated word is set past the validation;
-    # its key 0 comes in row 3, after every nonzero key of the span
-    shared = new_code(ring_graph(6), 1, (0, 3, 5, 6))
-    object.__setattr__(shared, "words", (0, 3, 5, 6, 5))
-    codes += [every_word, shared]
-    for code in codes:
-        assert list(_pair_table(code).items()) == list(_per_pair_table(code).items())
-    assert len(_pair_table(every_word)) == 255
-    assert _pair_table(shared)[0] == (3, 5)
+        graph = random_graph(rng, n)
+        codes.append(random_code(rng, graph, r, rng.randint(1, min(24, 1 << (n - r)))))
+    return codes + [new_code(ring_graph(8), 0, tuple(range(256)))]
+
+
+def test_words_are_their_own_canonical_residues(code_9_3_1_3):
+    """Words avoid every pivot of the gauge basis: the X bits and the gauge qubits' Z bits."""
+    for code in _difference_cases(code_9_3_1_3):
+        basis = gauge_generators(code).basis
+        assert [basis.canonical(c) for c in code.words] == list(code.words)
+
+
+def test_differences_match_per_pair_reduction(code_9_3_1_3):
+    for code in _difference_cases(code_9_3_1_3):
+        assert _differences(code.words) == set(_per_pair_table(code))
+    # every word of ring-8 r=0: the first row already holds all 255 of the span
+    assert len(_differences(tuple(range(256)))) == 255
+
+
+def test_detects_set_reports_the_first_pair_of_each_failure(code_9_3_1_3):
+    """Each failure of weight <= 3 names the first pair whose difference its residue is."""
+    failures = 0
+    for code in _difference_cases(code_9_3_1_3):
+        basis = gauge_generators(code).basis
+        table = _per_pair_table(code)
+        errors = enumerate_paulis(code.n, 3)
+        pairs = [table.get(basis.canonical(e.x << code.n | e.z)) for e in errors]
+        report = detects_set(code, errors)
+        assert [(f.error, f.word_i, f.word_j) for f in report.failures] == [
+            (e, *pair) for e, pair in zip(errors, pairs) if pair is not None
+        ]
+        failures += len(report.failures)
+    assert failures > 20000
