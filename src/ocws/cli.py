@@ -16,8 +16,7 @@ from pathlib import Path
 from .code import OcwsCode, parse_code_file, write_code_file
 from .graph import Graph, from_adjacency, ring_graph
 from .induction import enumerate_paulis, induced_images, pauli_images
-from .oracle import check_dense_size, oqec_check
-from .pauli import format_pauli, format_zstring
+from .pauli import format_pauli
 from .search import SearchConfig, SearchError, search_code
 from .verify import analyze
 
@@ -141,26 +140,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_induce(args: argparse.Namespace) -> int:
     code = _load_code(args.codefile)
-    n = code.n
+    n, r = code.n, code.r
     if not 1 <= args.weight <= n:
         raise ValueError(f"--weight {args.weight} out of range for n={n}")
     _comment(args, f"induce {args.codefile}: errors of weight <= {args.weight}")
-    # above its n raw induced bits an image spells its error in hex: 1 X, 2 Z, 3 Y
-    raw_x, raw_z = induced_images(code)
-    x_images = [raw | 1 << (n + 4 * q) for q, raw in enumerate(raw_x)]
-    z_images = [raw | 2 << (n + 4 * q) for q, raw in enumerate(raw_z)]
-    label_format, letters = f"0{n}x", str.maketrans("0123", "IXZY")
-    reduced_mask = (1 << code.s) - 1
+    # Qubit q's induced bit sits at n-1-q, so binary digits print qubit 1 first.
+    # Above the n raw bits, one hex digit per qubit spells the error: X a, Z c,
+    # Y 6.  One table then turns label, raw and reduced strings into letters.
+    label_format, raw_format = f"0{n}x", f"0{n}b"
+    x_images, z_images = [], []
+    for q, (x, z) in enumerate(zip(*induced_images(code))):
+        label = n + 4 * (n - 1 - q)
+        x_images.append(int(format(x, raw_format)[::-1], 2) | 0xA << label)
+        z_images.append(int(format(z, raw_format)[::-1], 2) | 0xC << label)
+    raw_mask, pad, s = (1 << n) - 1, "0" * r, code.s
+    letters = str.maketrans("01ac6", "IZXZY")
     classes = set()
     for w in range(1, args.weight + 1):
         for _support, _offset, images in pauli_images(x_images, z_images, w):
-            reduced = [image & reduced_mask for image in images]
-            classes.update(reduced)
-            sys.stdout.write("".join(
-                f"CLASS {format(image >> n, label_format)[::-1].translate(letters)} -> "
-                f"{format_zstring(image, n)} -> {format_zstring(red, n)}\n"
-                for image, red in zip(images, reduced)
-            ))
+            classes.update((image & raw_mask) >> r for image in images)
+            lines = []
+            for image in images:
+                raw = format(image & raw_mask, raw_format)
+                lines.append(f"CLASS {format(image >> n, label_format)} -> {raw} -> "
+                             f"{raw[:s]}{pad}\n")
+            sys.stdout.write("".join(lines).translate(letters))
     _comment(args, f"{len(classes)} distinct reduced classes")
     return 0
 
@@ -190,7 +194,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def oqec_check(code: OcwsCode, errors, tol: float):
+    """The dense oracle's check; numpy loads on the first call, not with the CLI.
+
+    A module-level name, so that perfbench/spans.py can wrap it here.
+    """
+    from .oracle import oqec_check as check
+
+    return check(code, errors, tol)
+
+
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    from .oracle import check_dense_size
+
     code = _load_code(args.codefile)
     if not 0 <= args.weight <= code.n:
         raise ValueError(f"--weight {args.weight} out of range for n={code.n}")

@@ -147,17 +147,23 @@ def _reference_induce(code, path, weight, fmt):
 def test_induce_matches_per_pauli_reference(capsys, tmp_path):
     rng = random.Random(303)
     path = tmp_path / "code.ocws"
-    for _ in range(30):
-        n = rng.randint(3, 8)
-        r = rng.randint(0, min(3, n - 1))
+
+    def check(n, r, weights):
         code = random_code(rng, random_graph(rng, n), r, rng.randint(1, min(6, 1 << (n - r))))
         path.write_text(write_code_file(code))
-        for weight in range(1, 4):
+        for weight in weights:
             for fmt in ("text", "lines"):
                 status, out, _ = run(capsys, "induce", str(path), "--weight", str(weight),
                                      "--format", fmt)
                 assert status == 0
                 assert out == _reference_induce(code, path, weight, fmt)
+
+    for _ in range(30):
+        n = rng.randint(3, 8)
+        check(n, rng.randint(0, min(3, n - 1)), range(1, 4))
+    # wide codes: the bit reversal spans 12-16 qubits and the gauge padding 0 to n - 1
+    for n, r in ((12, 0), (13, 5), (14, 13), (15, 7), (16, 0), (16, 15)):
+        check(n, r, range(1, 3))
 
 
 def test_search_ring9_emits_verifiable_code(capsys, tmp_path):

@@ -12,6 +12,7 @@ import importlib.util
 from pathlib import Path
 
 import ocws
+from conftest import fixture_path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -89,3 +90,19 @@ def test_every_unread_import_in_ocws_is_bound_for_spans():
         for name in _unread_imports(path.read_text())
     }
     assert sorted(unread - bound) == []
+
+
+def test_oracle_check_through_the_cli_records_check_and_state_spans(capsys):
+    """The CLI's oqec_check stays a rebindable module name that reaches the oracle."""
+    from ocws.cli import main
+
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert main(["oracle-check", fixture_path("ring5_r2.ocws"), "--format", "lines"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.endswith("PASS\n")
+    names = [span[0] for span in tracer.spans]
+    state = tracer.spans[names.index("oracle.state")]
+    assert state[3] == names.index("oracle.check")  # the state is built inside the check
