@@ -9,10 +9,15 @@ For every pair of swept errors, the matrix of E_a E_b in the codeword
 basis must vanish between logical sectors and act identically (up to a
 global phase) on the gauge factor of every sector.
 
-Every Pauli acts through `_act`.  The residual sweep gathers every
-product into one reused buffer, so no product allocates a new 2^n-wide
-array: gathering and then multiplying into fresh arrays cost over 10^5
-minor page faults per sweep on a ring-10 code, against a few hundred.
+The graph state, `apply_pauli` and the basis build apply a Pauli through
+`_act`.  The residual sweep does not: it groups the products by Z part,
+fills one buffer per group with the conjugated basis times that part's
+signs, and gathers each X part into a second, so a product costs one
+gather and one gemm.  Both buffers are reused, so no product allocates a
+new 2^n-wide array: gathering and then multiplying into fresh arrays cost
+over 10^5 minor page faults per sweep on a ring-10 code, against a few
+hundred.  On the benchmark's codes the products have about 8 times fewer
+Z parts, so the sign pass almost vanishes.
 
 Each product's K diagonal gauge blocks are copied into a second buffer of
 at most an eighth of the basis entries, and a full buffer is compared in a
@@ -25,7 +30,7 @@ identity, for the reason `oqec_check` gives.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,17 +53,10 @@ _MAX_DENSE_QUBITS = 14
 _MAX_BASIS_ENTRIES = 1 << 22
 
 
-def _act(
-    vectors: np.ndarray, x: int, z: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Z^z X^x on the last axis: gather at index xor x, then flip signs.
-
-    A sweep passes one `out` buffer for all its operators, because fresh
-    arrays per operator can page-fault on every page.  Every index is in
-    range, and mode="clip" keeps np.take from staging `out` in a temporary.
-    """
+def _act(vectors: np.ndarray, x: int, z: int) -> np.ndarray:
+    """Z^z X^x on the last axis: gather at index xor x, then flip signs."""
     idx = np.arange(vectors.shape[-1], dtype=np.uint32)
-    out = np.take(vectors, idx ^ np.uint32(x), axis=-1, out=out, mode="clip")
+    out = np.take(vectors, idx ^ np.uint32(x), axis=-1)
     out *= 1.0 - 2.0 * (np.bitwise_count(idx & np.uint32(z)) & 1)
     return out
 
@@ -96,8 +94,10 @@ class OqecCheckReport:
 def check_dense_size(n: int, rows: int = 1) -> None:
     """Reject dense states, or a basis of `rows` of them, too large for memory.
 
-    A residual sweep holds about five arrays of at most the basis's entries,
-    each 64 MiB at the limit of 2^22 complex values.
+    A residual sweep holds the basis and two work arrays of its size, each
+    64 MiB at the limit of 2^22 complex values.  Beyond the basis, its
+    traced peak on the benchmark's codes is 2.6 to 3.1 basis sizes: the two
+    work arrays, the block buffer and per-column index and sign vectors.
     """
     if n > _MAX_DENSE_QUBITS:
         raise ValueError(f"n={n} too large for dense states (limit {_MAX_DENSE_QUBITS})")
@@ -193,20 +193,29 @@ def _block_deviation(blocks: np.ndarray) -> float:
 
 
 def _residuals(
-    code: OcwsCode, basis: np.ndarray, products: set[tuple[int, int]]
+    code: OcwsCode, basis: np.ndarray, products: Collection[tuple[int, int]]
 ) -> tuple[float, float]:
     """Largest off-block entry and largest block deviation over the products.
 
-    products holds distinct (x, z) pairs, as `_products` gives them.  One
-    gemm per product gives its matrix in the codeword basis.
-    Its diagonal gauge blocks go to a buffer of at most an eighth of the
-    basis entries, compared by `_block_deviation` whenever it is full and
-    once more at the end, so no temporary grows as K^2 g^2.  The blocks are
+    products holds distinct (x, z) pairs, as `_products` gives them, in
+    any order.  They are swept grouped by z: per group, `signed` is the
+    conjugated basis times the signs of Z^z, and per product `moved` is the
+    basis gathered at index xor x, so one gemm gives the product's matrix in
+    the codeword basis.  A sign of +-1 is exact on either side of the gemm,
+    so every term, and every residual, is the same bit for bit as with the
+    signs on the gathered side.  Each matrix's diagonal gauge blocks go to
+    a buffer of at most an eighth of the basis entries, compared by
+    `_block_deviation` whenever it is full and once more at the end, so no
+    temporary grows as K^2 g^2.  The blocks are
     subtracted explicitly after phase alignment, as `oqec_check` requires.
     """
     K = code.K
     g = 1 << code.r
-    conj = np.conj(basis)
+    by_z: dict[int, list[int]] = {}
+    for x, z in products:
+        by_z.setdefault(z, []).append(x)
+    idx = np.arange(basis.shape[-1], dtype=np.uint32)
+    signed = np.empty_like(basis)
     moved = np.empty_like(basis)
     off_block = ~np.eye(K, dtype=bool)[:, None, :, None]
     capacity = min(max(1, basis.size // (8 * K * g * g)), len(products))
@@ -214,14 +223,20 @@ def _residuals(
     filled = 0
     max_off = 0.0
     max_dev = 0.0
-    for x, z in products:
-        m = (conj @ _act(basis, x, z, out=moved).T).reshape(K, g, K, g)
-        max_off = max(max_off, float(np.abs(m).max(where=off_block, initial=0.0)))
-        blocks[filled] = m.diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
-        filled += 1
-        if filled == len(blocks):
-            max_dev = max(max_dev, _block_deviation(blocks))
-            filled = 0
+    for z, xs in by_z.items():
+        np.conjugate(basis, out=signed)
+        signed *= 1.0 - 2.0 * (np.bitwise_count(idx & np.uint32(z)) & 1)
+        for x in xs:
+            if x:
+                # every index is in range; "clip" keeps np.take from staging a copy
+                np.take(basis, idx ^ np.uint32(x), axis=-1, out=moved, mode="clip")
+            m = (signed @ (moved if x else basis).T).reshape(K, g, K, g)
+            max_off = max(max_off, float(np.abs(m).max(where=off_block, initial=0.0)))
+            blocks[filled] = m.diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
+            filled += 1
+            if filled == len(blocks):
+                max_dev = max(max_dev, _block_deviation(blocks))
+                filled = 0
     return max_off, max(max_dev, _block_deviation(blocks[:filled]))
 
 

@@ -25,8 +25,10 @@ built, as generators, only when the raise first refutes a difference.
 In the root branch on v, each refuted child drops with its twin, the
 child xor v.  The lex-least pass keeps every difference, prunes no twin,
 uses no group and resumes at vertex 0.  Greedy restarts draw the same
-permutations as random.shuffle on random.Random(seed), drawn inline.  One
-verifier sweep re-checks each found code.
+permutations as random.shuffle on random.Random(seed), drawn inline, and
+a restart stops once its clique and pool together fall short of the best
+size, which leaves the result unchanged.  One verifier sweep re-checks
+each found code.
 """
 
 from __future__ import annotations
@@ -354,8 +356,11 @@ def _greedy_cliques(
                 clique.append(v)
                 # uncached, so large s does not fill the mask dict
                 pool &= rows.translate(rows.base, v)
-                if not pool:
+                # abandoned once it cannot reach best's size; a tie can still win
+                if not pool or len(clique) + pool.bit_count() < len(best):
                     break
+        if len(clique) < len(best):
+            continue
         low = min(clique)
         clique = sorted(c ^ low for c in clique)
         if len(clique) > len(best) or (len(clique) == len(best) and clique < best):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ocws import (
     multiply,
     new_code,
     oqec_check,
+    parse_code_file,
     parse_pauli,
     paulis_of_weight,
     ring_graph,
@@ -27,7 +30,7 @@ from ocws import (
 )
 from ocws import oracle
 from ocws.oracle import _basis_matrix, _products, _residuals
-from conftest import random_code, random_graph
+from conftest import PERFBENCH, random_code, random_graph
 
 _I = np.eye(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -288,9 +291,17 @@ def _residual_cases():
     return cases
 
 
+def _bench_code(name, words=None):
+    """A code file the oracle-dense benchmark checks, optionally cut to its first words."""
+    code = parse_code_file((PERFBENCH / "data" / f"{name}.ocws").read_text())
+    return code if words is None else new_code(code.graph, code.r, code.words[:words])
+
+
 def test_residuals_equal_reference_exactly():
     cases = _residual_cases()
     assert sum(code.K == 1 for code, _ in cases) >= 5
+    # the benchmark's slowest shape: a 32 x 1024 basis and 436 products
+    cases.append((_bench_code("ring10_r2_d3_exact"), 1))
     for code, w in cases:
         basis = _basis_matrix(code)
         errors = enumerate_paulis(code.n, w, include_identity=True)
@@ -360,6 +371,73 @@ def test_residuals_match_reference_on_complex_bases(monkeypatch):
         assert len(buffers) >= 3 and buffers[-1] < buffers[0], buffers
         partial += buffers[-1] > 0
     assert partial >= 2
+
+
+def _sweep_orders(products):
+    """The products ascending and descending by (z, x), and grouped by x."""
+    by_z = sorted(products, key=lambda p: (p[1], p[0]))
+    return [dict.fromkeys(order) for order in (by_z, by_z[::-1], sorted(products))]
+
+
+def test_residuals_do_not_depend_on_the_sweep_order(monkeypatch):
+    """Every insertion order of the products gives the same residuals, bit for bit.
+
+    The sweep groups the products by Z part in the order they arrive, so
+    the three orders group them alike but visit groups, and products within
+    a group, differently, and move every buffer flush.  On the complex
+    bases, whose deviations are non-zero, a Z group is larger than one
+    buffer, so it crosses a flush.
+    """
+    buffers = []
+    block_deviation = oracle._block_deviation
+
+    def recording(blocks):
+        buffers.append(len(blocks))
+        return block_deviation(blocks)
+
+    monkeypatch.setattr(oracle, "_block_deviation", recording)
+    rng = random.Random(71)
+    nprng = np.random.default_rng(71)
+    graph_state_codes = (_split9_code(), _bench_code("ring10_r2_d3_exact"))
+    cases = [(code, _basis_matrix(code)) for code in graph_state_codes]
+    for n, r, K in [(5, 0, 5), (6, 1, 2), (6, 2, 4), (7, 1, 6)]:
+        code = random_code(rng, random_graph(rng, n), r, K)
+        cases.append((code, _complex_basis(nprng, code)))
+    crossed = 0
+    for code, basis in cases:
+        products = _products(enumerate_paulis(code.n, 1, include_identity=True))
+        buffers.clear()
+        results = [_residuals(code, basis, order) for order in _sweep_orders(products)]
+        assert results[0] == results[1] == results[2], (code, results)
+        if results[0][1] > 0.01:
+            largest_group = max(Counter(z for _, z in products).values())
+            crossed += len(buffers) > 3 and largest_group > buffers[0]
+    assert crossed == 4
+
+
+def _residuals_peak_ratio(code):
+    """The tracemalloc peak of one weight-1 sweep over the basis's own bytes."""
+    basis = _basis_matrix(code)
+    products = _products(enumerate_paulis(code.n, 1, include_identity=True))
+    tracemalloc.start()
+    try:
+        _residuals(code, basis, products)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / basis.nbytes
+
+
+def test_residual_sweep_holds_two_basis_sized_buffers():
+    """The sweep's peak stays under 3.25 bases: two work buffers and small change.
+
+    Ring-10 r=2 is the benchmark's slowest shape (32 x 1024); ring-12 r=1
+    cut to two words (4 x 4096) has the fewest rows, so the per-column sign
+    and index vectors weigh most there.  A third basis-sized array, per
+    product or per Z group, would reach 3.5 or more on both.
+    """
+    for code in (_bench_code("ring10_r2_d3_exact"), _bench_code("ring12_r1_d4_exact", 2)):
+        assert _residuals_peak_ratio(code) < 3.25, code
 
 
 def test_block_deviation_aligns_complex_phases():

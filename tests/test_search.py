@@ -37,6 +37,7 @@ from conftest import (
     Clock,
     bits,
     compatible,
+    load_workloads,
     random_graph,
     read_graph_file,
     symmetric_searches,
@@ -803,3 +804,51 @@ def test_greedy_matches_pairwise_reference(seed):
         clique, complete = find_max_clique(graph, config)
         assert not complete
         assert clique == _pairwise_greedy(graph, seed)
+
+
+def _unabandoned_greedy(graph, seed):
+    """Greedy multistart that scans every restart to its end.
+
+    Orders come from random.shuffle; no restart stops early, so every
+    maximal clique found competes for the best, ties on the least list.
+    """
+    rng = random.Random(seed)
+    rows = search._Rows(graph)
+    best = []
+    order = list(range(len(graph)))
+    for _ in range(_GREEDY_RESTARTS):
+        rng.shuffle(order)
+        clique, pool = [], (1 << len(graph)) - 1
+        for v in order:
+            if pool >> v & 1:
+                clique.append(v)
+                pool &= rows.translate(rows.base, v)
+        low = min(clique)
+        clique = sorted(c ^ low for c in clique)
+        if len(clique) > len(best) or (len(clique) == len(best) and clique < best):
+            best = clique
+    return best
+
+
+def _abandoning_cases():
+    """The greedy bench rings at seeds 0, 1 and 5, then 40 random graphs, one seed each."""
+    for n, r in sorted({(n, r) for n, r, _, _ in load_workloads().GREEDY_RINGS}):
+        for seed in (0, 1, 5):
+            yield f"ring{n}_r{r}", _ring_graph(n, r, 3), seed
+    for i in range(40):
+        rng = random.Random(i)
+        r, d, s = i % 3, 2 + i // 3 % 3, rng.randrange(5, 9)
+        skel = new_code(random_graph(rng, s + r), r, (0,))
+        yield f"random{i}", CompatibilityGraph(s, forbidden_differences(skel, d - 1)), i
+
+
+def test_abandoned_restarts_keep_the_greedy_clique():
+    """Stopping a restart that cannot reach the best size changes no result.
+
+    A restart that can only tie is scanned on, since the least clique wins
+    a tie.
+    """
+    for name, graph, seed in _abandoning_cases():
+        config = SearchConfig(ring_graph(5), 2, 3, mode="greedy", seed=seed)
+        want = _unabandoned_greedy(graph, seed)
+        assert find_max_clique(graph, config) == (want, False), (name, seed)
