@@ -155,10 +155,11 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         z_images.append(int(format(z, raw_format)[::-1], 2) | 0xC << label)
     raw_mask, pad, s = (1 << n) - 1, "0" * r, code.s
     letters = str.maketrans("01ac6", "IZXZY")
-    classes = set()
+    classes, count = set(), args.format == "text"  # only text prints the count
     for w in range(1, args.weight + 1):
         for _support, _offset, images in pauli_images(x_images, z_images, w):
-            classes.update((image & raw_mask) >> r for image in images)
+            if count:
+                classes.update((image & raw_mask) >> r for image in images)
             lines = []
             for image in images:
                 raw = format(image & raw_mask, raw_format)

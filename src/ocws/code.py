@@ -214,9 +214,10 @@ def parse_code_file(text: str) -> OcwsCode:
     Grammar: ``key = value`` lines with keys ``n``, ``r``, ``graph``,
     ``distance`` (optional) and ``word`` (repeatable); ``#`` starts a
     comment; blank lines are ignored.  ``graph`` is either ``ring`` or
-    ``adjacency:`` followed by n rows of 0/1 text (``n`` and ``r`` must
-    precede the adjacency block).  Words are 0/1 strings or I/Z strings of
-    length n.  Round-trips exactly with write_code_file().
+    ``adjacency:`` followed by n rows of 0/1 text; ``n`` must come before
+    ``graph`` and ``word`` lines, the other keys may come in any order.
+    Words are 0/1 strings or I/Z strings of length n.  Round-trips exactly
+    with write_code_file().
     """
     ints: dict[str, int] = {}
     seen: set[str] = set()

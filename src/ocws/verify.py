@@ -15,10 +15,11 @@ error and a zero residue a gauge element, so detection and degeneracy
 read the same sweep.  certify_distance, corrects_weight and the CLI
 verdict all read its result; it XORs per-qubit residues and builds only
 the Paulis it tests or reports.  The classical route reduces every error
-to its induced Z bit-vector, one Pauli at a time, and compares translated
-word sets.  They must agree on every code.  detects_set looks a given
-error list up in the same set of word differences, so it is not a third
-independent route.
+to its induced Z bit-vector, one Pauli at a time, and keys every
+translated word c_i xor e by its word i: a translate held by two words
+makes them confusable.  They must agree on every code.  detects_set looks
+a given error list up in the same set of word differences, so it is not a
+third independent route.
 """
 
 from __future__ import annotations
@@ -197,28 +198,22 @@ def certify_distance(code: OcwsCode) -> int:
 def classical_route_corrects(code: OcwsCode, t: int) -> bool:
     """Correction test for weight <= t errors in classical bit form.
 
-    Translates each word by every reduced induced-error class of weight
-    <= t (plus the zero class) and demands the translated words never
-    collide across distinct word indices; degenerate classes must also act
-    uniformly, checked through X-support parity against each word.
+    Translates each word c_i by 0 and by every reduced induced-error class
+    of weight <= t, and keys each translate c_i xor e by its word i: two
+    words are confusable exactly when a translate is already held by
+    another word.  The zero class must also act alike on every word, so
+    none of its source Paulis may have odd X overlap with one.
     """
     if t < 0:
         raise ValueError(f"weight bound t={t} must be >= 0")
     if t == 0:
         return True
     classes = induced_error_set(code, t)
-    class_bits = {c.bits for c in classes} | {0}
-    for ea in class_bits:
-        for eb in class_bits:
-            for i, ci in enumerate(code.words):
-                for j, cj in enumerate(code.words):
-                    if i != j and ci ^ ea == cj ^ eb:
-                        return False
-    for cls in classes:
-        if cls.bits != 0:
-            continue
-        for e in cls.sources:
-            for word in code.words:
-                if (e.x & word).bit_count() % 2:
-                    return False
-    return True
+    shifts = [0, *(cls.bits for cls in classes)]
+    owner: dict[int, int] = {}
+    for i, c in enumerate(code.words):
+        for e in shifts:
+            if owner.setdefault(c ^ e, i) != i:
+                return False
+    zero = [e for cls in classes if cls.bits == 0 for e in cls.sources]
+    return not any((e.x & c).bit_count() % 2 for e in zero for c in code.words)

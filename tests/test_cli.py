@@ -5,6 +5,7 @@ import gc
 import glob
 import os
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -423,6 +424,23 @@ def _fresh_process(argv):
     done = subprocess.run([sys.executable, "-m", "ocws.cli", *argv],
                           capture_output=True, text=True, env=env, check=False)
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.filterwarnings("ignore:'ocws.cli' found in sys.modules")
+def test_module_run_exits_with_main_status(capsys, monkeypatch):
+    """`python -m ocws.cli` raises SystemExit with main's status, in this process."""
+    statuses = []
+    for argv in (["verify", fixture_path("8_1_1_3.ocws")],
+                 ["verify", fixture_path("8_1_1_3.ocws"), "--distance", "5"],
+                 ["induce", fixture_path("ring5_r2.ocws"), "--weight", "0"]):
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["ocws", *argv])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("ocws.cli", run_name="__main__")
+        out, err = capsys.readouterr()
+        assert (info.value.code, out, err) == expected
+        statuses.append(info.value.code)
+    assert statuses == [0, 1, 2]
 
 
 def test_usage_error_then_valid_call_match_fresh_processes(capsys, monkeypatch):

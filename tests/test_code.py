@@ -209,6 +209,9 @@ def test_code_file_adjacency_block():
         ]
     )
     assert parse_code_file(text).graph == ring_graph(3)
+    # only n must come before the block; r may follow it
+    late_r = "n = 3\ngraph = adjacency:\n011\n101\n110\nr = 1\nword = 000\n"
+    assert parse_code_file(late_r) == new_code(ring_graph(3), 1, (0,))
 
 
 def test_code_file_errors():
@@ -249,6 +252,7 @@ def test_code_file_errors():
         ("n = 3\nr = 1.5\n", "line 2: r must be an integer, got '1.5'"),
         ("n = 3\nr = 0\ngraph = ring\nword = IZ0\n",
          "line 4: word 'IZ0' is neither a bit string nor an I/Z string"),
+        ("n = 3\nr = 0\ngraph = ring\nword =\n", "line 4: empty bit string"),
         ("n = 2\nr = 0\ngraph = ring\n", "line 3: ring graph needs n >= 3, got n=2"),
         ("n = 3\nr = 0\ngraph = ring\ndistance = 0\nword = 000\n",
          "line 4: claimed distance 0 must be >= 1"),

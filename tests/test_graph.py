@@ -50,6 +50,18 @@ def test_graph_rejects_asymmetry():
         Graph(3, (0b010, 0b000, 0b000))
 
 
+def test_graph_rejects_bad_size_and_rows():
+    for n, rows, message in (
+        (0, (), "graph needs at least one vertex, got n=0"),
+        (3, (0b010, 0b101), "adjacency has 2 rows, expected 3"),
+        (2, (0b010, 0b100), "adjacency row 2 out of range for n=2"),
+        (2, (-1, 0), "adjacency row 1 out of range for n=2"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Graph(n, rows)
+        assert str(info.value) == message
+
+
 def test_from_adjacency_strings():
     g = from_adjacency(["011", "101", "110"])
     assert g == ring_graph(3)

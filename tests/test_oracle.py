@@ -112,6 +112,11 @@ def test_dense_state_rejects_unnormalized():
         DenseState(1, np.array([1.0, 1.0]))
 
 
+def test_dense_state_rejects_wrong_length():
+    with pytest.raises(ValueError, match=r"shape \(3,\), expected \(4,\)"):
+        DenseState(2, np.array([1.0, 0.0, 0.0]))
+
+
 def test_codeword_basis_counts(code_8_1_1_3, code_9_3_1_3):
     basis = codeword_basis(code_8_1_1_3)
     assert len(basis) == 4

@@ -23,6 +23,7 @@ def test_parse_format_round_trip():
     for text in ["IXYZ", "XXXX", "IIII", "ZIYX", "X", "ZZ"]:
         p = parse_pauli(text)
         assert format_pauli(p) == text
+        assert str(p) == text
 
 
 def test_parse_sets_expected_masks():
@@ -57,6 +58,8 @@ def test_out_of_range_masks_rejected():
         PauliOperator(2, x=4)
     with pytest.raises(ValueError):
         PauliOperator(2, z=-1)
+    with pytest.raises(ValueError, match="at least one qubit, got n=0"):
+        PauliOperator(0)
 
 
 def test_multiply_is_phase_free_xor():
@@ -69,8 +72,9 @@ def test_multiply_is_phase_free_xor():
 
 
 def test_multiply_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        multiply(identity(3), identity(4))
+    for op in (multiply, commutes):
+        with pytest.raises(ValueError, match="Pauli length mismatch: 3 vs 4"):
+            op(identity(3), identity(4))
 
 
 def test_commutes_basic_cases():

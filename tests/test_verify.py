@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from ocws import (
     DegenerateFailure,
     Graph,
+    InducedError,
     analyze,
     certify_distance,
     classical_route_corrects,
@@ -20,8 +22,10 @@ from ocws import (
     gauge_generators,
     gauge_reduce,
     induce,
+    induced_error_set,
     multiply,
     new_code,
+    parse_code_file,
     parse_pauli,
     paulis_of_weight,
     ring_graph,
@@ -31,7 +35,7 @@ from ocws import (
 from ocws.cli import main
 from ocws import verify
 from ocws.verify import _differences
-from conftest import detects, random_code, random_graph
+from conftest import detects, load_workloads, random_code, random_graph
 
 
 def test_fixture_codes_certify_distance_three(code_8_1_1_3, code_9_3_1_3, code_9_4_1_3):
@@ -183,6 +187,80 @@ def test_degenerate_error_with_uneven_word_overlap_blocks_correction():
     # but the degenerate X_7 acts with different signs on the two sectors
     assert not corrects_weight(code, 1)
     assert not classical_route_corrects(code, 1)
+
+
+def _four_loop_route(code, t):
+    """Reference: the classical route testing every pair of classes against every word pair."""
+    if t == 0:
+        return True
+    classes = induced_error_set(code, t)
+    class_bits = {c.bits for c in classes} | {0}
+    for ea in class_bits:
+        for eb in class_bits:
+            for i, ci in enumerate(code.words):
+                for j, cj in enumerate(code.words):
+                    if i != j and ci ^ ea == cj ^ eb:
+                        return False
+    for cls in classes:
+        if cls.bits != 0:
+            continue
+        for e in cls.sources:
+            for word in code.words:
+                if (e.x & word).bit_count() % 2:
+                    return False
+    return True
+
+
+def test_classical_route_matches_the_four_loop_reference_on_random_codes():
+    rng = random.Random(1208)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(3, 9)
+        r = rng.randint(0, n - 1)
+        code = random_code(rng, random_graph(rng, n), r, rng.randint(1, min(12, 1 << (n - r))))
+        for t in range(3):
+            verdict = classical_route_corrects(code, t)
+            assert verdict == _four_loop_route(code, t), (code, t)
+            if code.K > 1 and t > 0:
+                verdicts[verdict] += 1
+    # few random multi-word codes correct an error; the benchmark codes below do
+    assert verdicts[True] >= 1 and verdicts[False] >= 100, verdicts
+
+
+def test_classical_route_keys_each_untranslated_word(monkeypatch, broken_toy):
+    """A lone class that maps one word onto the other collides through the 0 shift.
+
+    Real class sets never need the shift: on one qubit Y = XZ, so every
+    class is the XOR of two classes of weight <= t.  A stubbed set shows it.
+    """
+    c0, c1 = broken_toy.words
+    for bits, verdict in ((c0 ^ c1, False), (0b10, True)):
+        monkeypatch.setattr(verify, "induced_error_set", lambda code, t: [InducedError(bits, ())])
+        assert classical_route_corrects(broken_toy, 1) == verdict
+
+
+def _benchmark_codes():
+    """(name, code) of every code in perfbench/data/ and one perturbed variant of each."""
+    workloads = load_workloads()
+    for path in sorted(workloads.DATA.glob("*.ocws")):
+        spec = workloads.load(path.stem)
+        yield path.stem, parse_code_file(workloads.render_code(spec))
+        bad = workloads.perturb(spec, random.Random(path.stem))
+        yield f"bad.{path.stem}", parse_code_file(workloads.render_code(bad))
+
+
+def test_routes_agree_on_every_benchmark_code():
+    cases = list(_benchmark_codes())
+    assert len(cases) == 22
+    for name, code in cases:
+        start = time.perf_counter()
+        verdict = classical_route_corrects(code, 1)
+        assert time.perf_counter() - start < 0.1, name
+        assert verdict == corrects_weight(code, 1) == (not name.startswith("bad.")), name
+        if code.K <= 25:
+            assert verdict == _four_loop_route(code, 1), name
+    sizes = [code.K for _name, code in cases]
+    assert (min(sizes), max(sizes)) == (2, 216)
 
 
 def test_routes_agree_on_random_codes():
