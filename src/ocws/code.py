@@ -5,11 +5,15 @@ S_i = X_i Z^{row_i}), a count r of gauge qubits occupying the last r
 positions, and K distinct word bit-vectors supported on the first
 s = n - r qubits.  Word l encodes the Z-type word operator Z^{word_l}.
 The gauge group is generated by S_1..S_n together with g_j = Z_{s+j}.
+
+OcwsCode is the named tuple ``(graph, r, words, claimed_distance)``, and
+GaugeGroup the named tuple ``(generators, labels)`` with its GF(2) basis
+held beside the fields, out of ==, hash and repr.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .graph import Graph, adjacency_lines, from_adjacency, ring_graph, stabilizer_generator
@@ -93,35 +97,46 @@ class _GF2Basis:
         return vector, combo
 
 
-@dataclass(frozen=True)
-class GaugeGroup:
-    """Generators S_1..S_n, g_1..g_r and their symplectic GF(2) basis."""
+class GaugeGroup(namedtuple("GaugeGroup", "generators labels")):
+    """Generators S_1..S_n, g_1..g_r and their symplectic GF(2) basis.
 
-    generators: tuple[PauliOperator, ...]
-    labels: tuple[str, ...]
-    basis: _GF2Basis = field(repr=False, compare=False)
+    basis is an attribute beside the two fields, so it takes no part in
+    ==, hash or repr; it is why the class has no __slots__ = ().
+    """
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
+
+    def __new__(
+        cls, generators: tuple[PauliOperator, ...], labels: tuple[str, ...], basis: _GF2Basis
+    ) -> GaugeGroup:
+        self = super().__new__(cls, generators, labels)
+        self.basis = basis
+        return self
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild through __new__, which needs the basis
+        return (*self, self.basis)
 
 
-@dataclass(frozen=True)
-class OcwsCode:
+class OcwsCode(namedtuple("OcwsCode", "graph r words claimed_distance")):
     """A code instance; use new_code() or parse_code_file() to build one."""
 
-    graph: Graph
-    r: int
-    words: tuple[int, ...]
-    claimed_distance: int | None = None
+    # no __slots__ = (): cached_property keeps the gauge group in __dict__
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
 
-    def __post_init__(self) -> None:
-        n = self.graph.n
-        if not 0 <= self.r < n:
-            raise ValueError(f"gauge count r={self.r} out of range for n={n}")
-        if not self.words:
+    def __new__(
+        cls, graph: Graph, r: int, words: tuple[int, ...], claimed_distance: int | None = None
+    ) -> OcwsCode:
+        n = graph.n
+        if not 0 <= r < n:
+            raise ValueError(f"gauge count r={r} out of range for n={n}")
+        if not words:
             raise ValueError("a code needs at least one word")
-        if self.claimed_distance is not None and self.claimed_distance < 1:
-            raise ValueError(f"claimed distance {self.claimed_distance} must be >= 1")
-        word_mask = (1 << self.s) - 1
+        if claimed_distance is not None and claimed_distance < 1:
+            raise ValueError(f"claimed distance {claimed_distance} must be >= 1")
+        word_mask = (1 << (n - r)) - 1
         seen: dict[int, int] = {}
-        for pos, word in enumerate(self.words, start=1):
+        for pos, word in enumerate(words, start=1):
             if not 0 <= word < (1 << n):
                 raise ValueError(f"word {pos} out of range for n={n}")
             if word & ~word_mask:
@@ -135,6 +150,7 @@ class OcwsCode:
                     f"{seen[word]} and {pos}"
                 )
             seen[word] = pos
+        return super().__new__(cls, graph, r, words, claimed_distance)
 
     @property
     def n(self) -> int:

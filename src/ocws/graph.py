@@ -8,8 +8,8 @@ the i-th stabilizer generator X_i Z^{row_i}.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from .pauli import PauliOperator, format_bits
 
@@ -24,30 +24,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n rows")):
     """Undirected simple graph on vertices 1..n as bit-mask adjacency rows."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        if len(self.rows) != self.n:
-            raise ValueError(
-                f"adjacency has {len(self.rows)} rows, expected {self.n}"
-            )
-        mask = (1 << self.n) - 1
-        for i, row in enumerate(self.rows):
+    def __new__(cls, n: int, rows: tuple[int, ...]) -> Graph:
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        if len(rows) != n:
+            raise ValueError(f"adjacency has {len(rows)} rows, expected {n}")
+        mask = (1 << n) - 1
+        for i, row in enumerate(rows):
             if not 0 <= row <= mask:
-                raise ValueError(f"adjacency row {i + 1} out of range for n={self.n}")
+                raise ValueError(f"adjacency row {i + 1} out of range for n={n}")
             if row >> i & 1:
                 raise ValueError(f"nonzero diagonal at ({i + 1},{i + 1})")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (rows[i] >> j & 1) != (rows[j] >> i & 1):
                     raise ValueError(f"asymmetric at ({i + 1},{j + 1})")
+        return super().__new__(cls, n, rows)
 
 
 def ring_graph(n: int) -> Graph:

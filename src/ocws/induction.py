@@ -15,7 +15,7 @@ rebuilds one operator only when it is needed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import xor
 
@@ -36,12 +36,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InducedError:
-    """A reduced induced-error class and every swept Pauli mapping to it."""
+class InducedError(namedtuple("InducedError", "bits sources")):
+    """A reduced induced-error class (int bits) and every swept Pauli mapping to it."""
 
-    bits: int
-    sources: tuple[PauliOperator, ...]
+    __slots__ = ()
 
 
 def induce(code: OcwsCode, e: PauliOperator) -> int:

@@ -30,8 +30,8 @@ identity, for the reason `oqec_check` gives.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,34 +61,34 @@ def _act(vectors: np.ndarray, x: int, z: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DenseState:
+class DenseState(namedtuple("DenseState", "n amplitudes")):
     """A normalized pure state on n qubits as 2^n complex amplitudes."""
 
-    n: int
-    amplitudes: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
 
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (1 << self.n,):
-            raise ValueError(
-                f"amplitude vector has shape {amp.shape}, expected ({1 << self.n},)"
-            )
+    def __new__(cls, n: int, amplitudes: np.ndarray) -> DenseState:
+        amp = np.asarray(amplitudes, dtype=complex)
+        if amp.shape != (1 << n,):
+            raise ValueError(f"amplitude vector has shape {amp.shape}, expected ({1 << n},)")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm!r} is not 1 within 1e-12")
-        object.__setattr__(self, "amplitudes", amp)
+        return super().__new__(cls, n, amp)
 
 
-@dataclass(frozen=True)
-class OqecCheckReport:
-    """Residuals of the correctability condition over an error sweep."""
+class OqecCheckReport(
+    namedtuple(
+        "OqecCheckReport", "max_off_block max_block_deviation tolerance passed products"
+    )
+):
+    """Residuals of the correctability condition over an error sweep.
 
-    max_off_block: float
-    max_block_deviation: float
-    tolerance: float
-    passed: bool
-    products: int
+    passed is whether both residuals are within tolerance; products counts
+    the distinct error products measured.
+    """
+
+    __slots__ = ()
 
 
 def check_dense_size(n: int, rows: int = 1) -> None:

@@ -6,11 +6,15 @@ least significant bit and the leftmost character of a Pauli string.  A set
 bit in ``x`` contributes an X factor, a set bit in ``z`` a Z factor, and a
 bit set in both a Y.  Global phase is not tracked; products and commutation
 reduce to word-parallel XOR/AND plus popcounts.
+
+PauliOperator is the named tuple ``(n, x, z)``: immutable, hashable, and
+equal to the plain tuple of the same three ints.  Every record of the
+package is a named tuple like it, so importing ocws generates no code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "PauliOperator",
@@ -31,8 +35,7 @@ _BITS_CHAR = {bits: char for char, bits in _CHAR_BITS.items()}
 _ZSTRING = str.maketrans("01", "IZ")
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class PauliOperator(namedtuple("PauliOperator", "n x z")):
     """An n-qubit Pauli operator modulo global phase.
 
     Attributes:
@@ -41,18 +44,18 @@ class PauliOperator:
         z: Z-part bit mask, same layout.
     """
 
-    n: int
-    x: int = 0
-    z: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"Pauli needs at least one qubit, got n={self.n}")
-        mask = (1 << self.n) - 1
-        if not 0 <= self.x <= mask:
-            raise ValueError(f"x mask {self.x:#x} out of range for n={self.n}")
-        if not 0 <= self.z <= mask:
-            raise ValueError(f"z mask {self.z:#x} out of range for n={self.n}")
+    def __new__(cls, n: int, x: int = 0, z: int = 0) -> PauliOperator:
+        if n < 1:
+            raise ValueError(f"Pauli needs at least one qubit, got n={n}")
+        mask = (1 << n) - 1
+        if not 0 <= x <= mask:
+            raise ValueError(f"x mask {x:#x} out of range for n={n}")
+        if not 0 <= z <= mask:
+            raise ValueError(f"z mask {z:#x} out of range for n={n}")
+        return super().__new__(cls, n, x, z)
 
     @property
     def is_identity(self) -> bool:

@@ -9,9 +9,10 @@ can coexist in a code of target distance d exactly when their XOR
 difference avoids every gauge-reduced induced error of weight <= d - 1.
 In the coordinates of a fully reduced echelon basis of the kernel, the
 compatibility graph is therefore CompatibilityGraph(k, forbidden), a
-Cayley graph on the ints 0..2^k - 1, and a maximum clique is a
-maximum-size word set.  The parity constraints, the kernel basis and the
-coordinates all come from code._GF2Basis.  The coordinate map preserves
+named tuple read as a Cayley graph on the ints 0..2^k - 1, and a maximum
+clique is a maximum-size word set; SearchConfig is a named tuple too.
+The parity constraints, the kernel basis and the coordinates all come
+from code._GF2Basis.  The coordinate map preserves
 order, so the lexicographically least clique maps to the least word set.
 
 The exact mode raises the ascending walk from vertex 0, which is the
@@ -36,8 +37,8 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .code import OcwsCode, _GF2Basis, new_code
 from .graph import Graph, _orbit_of, automorphism_generators
@@ -68,32 +69,44 @@ class SearchError(Exception):
         self.best_k = best_k
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    graph: Graph
-    r: int
-    target_distance: int
-    target_K: int | None = None
-    mode: str = "exact"
-    time_budget: float | None = None
-    seed: int = 0
+class SearchConfig(
+    namedtuple("SearchConfig", "graph r target_distance target_K mode time_budget seed")
+):
+    """One search: the graph, r gauge qubits, the target distance and how to search.
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.r < self.graph.n:
-            raise ValueError(f"gauge count r={self.r} out of range for n={self.graph.n}")
-        if not 1 <= self.target_distance <= self.graph.n + 1:
+    target_K is a required word count; mode is "exact" or "greedy";
+    time_budget is in seconds; seed drives greedy mode's restarts.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
+
+    def __new__(
+        cls,
+        graph: Graph,
+        r: int,
+        target_distance: int,
+        target_K: int | None = None,
+        mode: str = "exact",
+        time_budget: float | None = None,
+        seed: int = 0,
+    ) -> SearchConfig:
+        if not 0 <= r < graph.n:
+            raise ValueError(f"gauge count r={r} out of range for n={graph.n}")
+        if not 1 <= target_distance <= graph.n + 1:
             raise ValueError(
-                f"target distance {self.target_distance} out of range 1..{self.graph.n + 1}"
-                f" for n={self.graph.n}"
+                f"target distance {target_distance} out of range 1..{graph.n + 1}"
+                f" for n={graph.n}"
             )
-        if self.target_K is not None and self.target_K < 1:
-            raise ValueError(f"target K {self.target_K} must be >= 1")
-        if self.mode not in ("exact", "greedy"):
-            raise ValueError(f"mode must be 'exact' or 'greedy', got {self.mode!r}")
-        if self.s > 24:
-            raise ValueError(f"s={self.s} too large for search (limit 24)")
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError(f"time budget {self.time_budget} must be positive")
+        if target_K is not None and target_K < 1:
+            raise ValueError(f"target K {target_K} must be >= 1")
+        if mode not in ("exact", "greedy"):
+            raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
+        if graph.n - r > 24:
+            raise ValueError(f"s={graph.n - r} too large for search (limit 24)")
+        if time_budget is not None and not time_budget > 0:
+            raise ValueError(f"time budget {time_budget} must be positive")
+        return super().__new__(cls, graph, r, target_distance, target_K, mode, time_budget, seed)
 
     @property
     def s(self) -> int:
@@ -117,22 +130,31 @@ def forbidden_differences(code_skeleton: OcwsCode, max_error_weight: int) -> fro
     return frozenset(found - {0})
 
 
-@dataclass(frozen=True)
-class CompatibilityGraph:
+class CompatibilityGraph(namedtuple("CompatibilityGraph", "k forbidden")):
     """Cayley graph on the 2^k vectors of GF(2)^k, as the ints 0..2^k - 1.
 
     Edges join pairs whose XOR difference is not forbidden.  The graph is
     vertex-transitive, with every neighborhood an XOR translate of the
-    neighborhood of 0.
+    neighborhood of 0.  len() is its vertex count 2^k, not its field count.
+
+    symmetries returns generators of linear maps that keep `forbidden`,
+    each as its k column images; it is called only when the raise first
+    refutes a difference.  It is an attribute beside the two fields, so it
+    takes no part in ==, hash or repr; it is why the class has no
+    __slots__ = ().
     """
 
-    k: int
-    forbidden: frozenset[int]
-    # generators of linear maps that keep `forbidden`, each as its k column
-    # images, built only when the raise first refutes a difference
-    symmetries: Callable[[], list[tuple[int, ...]]] = field(
-        default=lambda: [], compare=False, repr=False
-    )
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
+
+    def __new__(
+        cls,
+        k: int,
+        forbidden: frozenset[int],
+        symmetries: Callable[[], list[tuple[int, ...]]] = lambda: [],
+    ) -> CompatibilityGraph:
+        self = super().__new__(cls, k, forbidden)
+        self.symmetries = symmetries
+        return self
 
     def __len__(self) -> int:
         return 1 << self.k

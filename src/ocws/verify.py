@@ -13,18 +13,19 @@ analyze(), over the canonical gauge residues of the Paulis by ascending
 weight: a residue in the set of word differences marks an undetectable
 error and a zero residue a gauge element, so detection and degeneracy
 read the same sweep.  certify_distance, corrects_weight and the CLI
-verdict all read its result; it XORs per-qubit residues and builds only
-the Paulis it tests or reports.  The classical route reduces every error
-to its induced Z bit-vector, one Pauli at a time, and keys every
-translated word c_i xor e by its word i: a translate held by two words
-makes them confusable.  They must agree on every code.  detects_set looks
+verdict all read its result, the named tuple Analysis(distance, failure,
+degenerate); it XORs per-qubit residues and builds only the Paulis it
+tests or reports.  The classical route reduces every error to its
+induced Z bit-vector, one Pauli at a time, and keys every translated
+word c_i xor e by its word i: a translate held by two words makes them
+confusable.  They must agree on every code.  detects_set looks
 a given error list up in the same set of word differences, so it is not a
 third independent route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .code import OcwsCode, _GF2Basis, gauge_decomposition, gauge_generators
 from .induction import image_positions, induced_error_set, pauli_at, pauli_images
@@ -45,20 +46,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DetectionFailure:
-    """An undetectable error with its first confusable word pair (1-based)."""
+class DetectionFailure(namedtuple("DetectionFailure", "error word_i word_j decomposition")):
+    """An undetectable error with its first confusable word pair (1-based).
 
-    error: PauliOperator
-    word_i: int
-    word_j: int
-    decomposition: str
+    decomposition names the gauge element w_i E w_j, as gauge_decomposition does.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    checked: int
-    failures: tuple[DetectionFailure, ...]
+class DetectionReport(namedtuple("DetectionReport", "checked failures")):
+    """The count of errors checked and a DetectionFailure for each undetectable one."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -116,27 +116,23 @@ def detects_set(code: OcwsCode, errors) -> DetectionReport:
     return DetectionReport(len(errors), tuple(failures))
 
 
-@dataclass(frozen=True)
-class DegenerateFailure:
+class DegenerateFailure(namedtuple("DegenerateFailure", "error word")):
     """A degenerate error that anticommutes with word operator `word` (1-based)."""
 
-    error: PauliOperator
-    word: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(namedtuple("Analysis", "distance failure degenerate")):
     """Result of one sweep: certified distance and the first witnesses.
 
-    failure is the first undetectable error, where the sweep stopped
-    (None when every error up to weight n is detectable).  degenerate is
-    the first gauge element of weight <= t, up to and including that one,
-    that anticommutes with a word operator.
+    failure is the first undetectable error, a DetectionFailure, where the
+    sweep stopped (None when every error up to weight n is detectable).
+    degenerate is the first gauge element of weight <= t, up to and
+    including that one, that anticommutes with a word operator, as a
+    DegenerateFailure (or None).
     """
 
-    distance: int
-    failure: DetectionFailure | None
-    degenerate: DegenerateFailure | None
+    __slots__ = ()
 
 
 def analyze(code: OcwsCode, t: int) -> Analysis:

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior through main(argv), including exact output bytes."""
 
-import dataclasses
 import gc
 import glob
 import os
@@ -271,7 +270,7 @@ def test_search_unreachable_target_exits_one(capsys, monkeypatch):
     # a found word set that re-verification rejects
     analyze = search.analyze
     monkeypatch.setattr(
-        search, "analyze", lambda code, t: dataclasses.replace(analyze(code, t), distance=2)
+        search, "analyze", lambda code, t: analyze(code, t)._replace(distance=2)
     )
     code, out, err = run(capsys, "search", "--graph", "ring", "--n", "8", "--r", "1",
                          "--distance", "3")
