@@ -17,7 +17,16 @@ order, so the lexicographically least clique maps to the least word set.
 
 The exact mode raises the ascending walk from vertex 0, which is the
 lexicode and is built a coset at a time, by a decision branch-and-bound
-that branches only on vertices colored at least the size sought.  The
+that branches only on vertices colored at least the size sought.  That
+engine, the coloring, the decision routine, the raise and the lex-least
+pass, runs on bit positions p = v xor (2^k - 1): vertex 0 is the top bit,
+so the lowest open vertex of a mask is mask.bit_length() - 1.  The XOR is
+a translation, an automorphism of the Cayley graph, so rows, translates
+and twins read the same in positions, and ascending vertex order is
+descending position order: every coloring, branch and output is the one
+that vertex order gives.  Vertex ids meet positions only in the raise:
+at its root pool, at the difference p xor (2^k - 1) of each root branch,
+in its orbit action and in the cliques it hands back.  The
 raise drops each difference that fails to extend, with its whole orbit
 under the graph's automorphisms that keep the gauge block, carried to
 kernel coordinates (orbit pruning as in Kaski & Östergård,
@@ -159,6 +168,11 @@ class CompatibilityGraph(namedtuple("CompatibilityGraph", "k forbidden")):
     def __len__(self) -> int:
         return 1 << self.k
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild through __new__; namedtuple's own would size
+        # a tuple from len(), 2^k slots
+        return (self.k, self.forbidden, self.symmetries)
+
 
 class _Deadline(Exception):
     pass
@@ -169,7 +183,11 @@ class _Rows(dict):
 
     Coloring clears a vertex and its neighbors from a class with one AND of
     its mask.  Every row is an XOR translate of `base`, the row of vertex 0.
-    Masks are kept up to _ROW_CACHE_BYTES; past that they are recomputed.
+    Bit u of a mask is vertex u.  Since u is a non-neighbor of v exactly
+    when u xor v is forbidden, the mask of p is also the exact engine's in
+    positions p = v xor (2^k - 1), bit q standing for position q; only
+    `base`, a pool, needs translate(base, 2^k - 1) there.  Masks are kept up
+    to _ROW_CACHE_BYTES; past that they are recomputed.
     """
 
     def __init__(self, graph: CompatibilityGraph):
@@ -202,12 +220,15 @@ class _Rows(dict):
 
 
 def _branch_order(rows: _Rows, pool: int, size: int, deadline: float | None) -> list[int]:
-    """Vertices that a greedy coloring of the pool puts in color `size` or above.
+    """Positions that a greedy coloring of the pool puts in color `size` or above.
 
-    The list runs in ascending color and callers branch from its end.  The
-    vertices left off fill size - 1 color classes, so once every listed
-    vertex is branched on and dropped, the pool is refuted.  A pool of
-    fewer than `size` vertices is refuted without touching a row.  Each
+    The pool is a mask over positions p = v xor (2^k - 1), so vertex 0 is
+    the top bit and a class takes its lowest open vertex, its highest set
+    bit, with one bit_length(); each class picks vertices in ascending
+    order.  The list runs in ascending color and callers branch from its
+    end.  The vertices left off fill size - 1 color classes, so once every
+    listed vertex is branched on and dropped, the pool is refuted.  A pool
+    of fewer than `size` vertices is refuted without touching a row.  Each
     class clears its members' closed neighborhoods with one AND of their
     cached masks, and checks the deadline once before it starts.
     """
@@ -221,16 +242,15 @@ def _branch_order(rows: _Rows, pool: int, size: int, deadline: float | None) -> 
         available = pool
         if color < size:
             while available:
-                bit = available & -available
-                pool ^= bit
-                available &= rows[bit.bit_length() - 1]
+                p = available.bit_length() - 1
+                pool ^= 1 << p
+                available &= rows[p]
         else:
             while available:
-                bit = available & -available
-                v = bit.bit_length() - 1
-                order.append(v)
-                pool ^= bit
-                available &= rows[v]
+                p = available.bit_length() - 1
+                order.append(p)
+                pool ^= 1 << p
+                available &= rows[p]
         color += 1
     return order
 
@@ -240,44 +260,46 @@ def _exists_clique(
 ) -> list[int] | None:
     """A clique of the given size within the pool, or None if there is none.
 
-    A nonzero twin t says that p -> p xor t maps the pool onto itself and
-    keeps its edges, so a vertex on no clique of the size has a twin on
-    none: both drop, and a listed vertex already dropped is skipped.  The
-    children get no twin, since the map moves each narrowed pool.
+    Pool and clique are in positions, as in _branch_order.  A nonzero twin
+    t says that p -> p xor t maps the pool onto itself and keeps its edges,
+    so a position on no clique of the size has a twin on none: both drop,
+    and a listed position already dropped is skipped.  The children get no
+    twin, since the map moves each narrowed pool.
     """
     if size <= 0:
         return []
-    for v in reversed(_branch_order(rows, pool, size, deadline)):
-        bit = 1 << v
+    for p in reversed(_branch_order(rows, pool, size, deadline)):
+        bit = 1 << p
         if not pool & bit:
-            # dropped as the twin of a refuted vertex
+            # dropped as the twin of a refuted position
             continue
         pool ^= bit
-        found = _exists_clique(rows, pool & ~rows[v], size - 1, deadline)
+        found = _exists_clique(rows, pool & ~rows[p], size - 1, deadline)
         if found is not None:
-            found.append(v)
+            found.append(p)
             return found
         if twin:
-            pool &= ~(1 << (v ^ twin))
+            pool &= ~(1 << (p ^ twin))
     return None
 
 
-def _lex_least_clique(rows: _Rows, size: int, deadline: float | None) -> list[int]:
-    """Lexicographically least index clique of a size known to exist.
+def _lex_least_clique(rows: _Rows, pool: int, size: int, deadline: float | None) -> list[int]:
+    """Lexicographically least index clique of a size known to exist, less its vertex 0.
 
-    Translated by its least member, any clique holds 0 and sorts no later,
-    so the least one holds 0.  Each step takes the pool's lowest vertex if
-    a clique of the size left extends it there, and drops it otherwise.
+    pool is the neighborhood of vertex 0, and the members come back, in
+    ascending vertex order, as positions p = v xor (2^k - 1).  Translated by
+    its least member, any clique holds 0 and sorts no later, so the least
+    one holds 0.  Each step takes the pool's lowest vertex, its highest
+    set bit, if a clique of the size left extends it there, and drops it
+    otherwise.
     """
-    clique = [0]
-    pool = rows.base
-    while len(clique) < size:
-        bit = pool & -pool
-        v = bit.bit_length() - 1
-        pool ^= bit
-        narrowed = pool & ~rows[v]
-        if _exists_clique(rows, narrowed, size - len(clique) - 1, deadline) is not None:
-            clique.append(v)
+    clique: list[int] = []
+    while len(clique) < size - 1:
+        p = pool.bit_length() - 1
+        pool ^= 1 << p
+        narrowed = pool & ~rows[p]
+        if _exists_clique(rows, narrowed, size - len(clique) - 2, deadline) is not None:
+            clique.append(p)
             pool = narrowed
     return clique
 
@@ -309,14 +331,21 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
     # pass, and a clique through 0 holds at most 1 + |row of 0| vertices
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + allowed.bit_count() + 1)
+    # the raise runs on positions p = v xor top, vertex 0 at the top bit; a root
+    # pool too small to raise the walk is refuted unbuilt, so a walk of every
+    # vertex costs no translate
+    top = len(graph) - 1
+    root = rows.translate(allowed, top) if allowed.bit_count() >= walk else 0
+    allowed = root
     try:
-        order = _branch_order(rows, allowed, len(best), deadline)
+        order = _branch_order(rows, allowed, walk, deadline)
         while order:
-            v = order.pop()
-            if not allowed >> v & 1:
+            p = order.pop()
+            if not allowed >> p & 1:
                 # dropped with the orbit of a refuted difference
                 continue
-            # p -> p xor v keeps this pool and its edges and swaps 0 with v
+            # q -> q xor v keeps this pool and its edges and swaps 0 with v
+            v = p ^ top
             pool = allowed & rows.translate(allowed, v)
             found = _exists_clique(rows, pool, len(best) - 1, deadline, v)
             if found is None:
@@ -325,13 +354,14 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
                 # through 0 and A(v) onto one through 0 and v: the orbit drops
                 if maps is None:
                     maps = graph.symmetries()
-                allowed &= ~_orbit_of(v, maps, _combine)
+                allowed &= ~_orbit_of(p, maps, lambda g, q: _combine(g, q ^ top) ^ top)
             else:
-                best = [0, v, *found]
+                best = [0, v, *(q ^ top for q in found)]
                 order = _branch_order(rows, allowed, len(best), deadline)
         # the walk is the lex-least maximal clique; if maximum, it is the answer
         if len(best) > walk:
-            best = _lex_least_clique(rows, len(best), deadline)
+            least = _lex_least_clique(rows, root, len(best), deadline)
+            best = [0, *(p ^ top for p in least)]
     except _Deadline:
         return sorted(best), False
     finally:

@@ -12,6 +12,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ def test_code_with_its_gauge_group_survives_copy_and_pickle():
     rows = ocws.gauge_generators(built).basis.rows()
     for again in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
         assert again == built and ocws.gauge_generators(again).basis.rows() == rows
+
+
+def test_compatibility_graph_copies_without_a_tuple_of_its_vertex_count():
+    """len() is the 2^k vertex count, so copies rebuild from k, forbidden and symmetries."""
+    graph = CompatibilityGraph(22, frozenset({1}), lambda: [(2, 1, 4)])
+    for duplicate in (copy.copy, copy.deepcopy):
+        tracemalloc.start()
+        try:
+            again = duplicate(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (duplicate.__name__, peak)
+        assert again == graph and again.symmetries() == [(2, 1, 4)]
 
 
 def test_dense_state_stores_complex_amplitudes():

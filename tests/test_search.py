@@ -503,6 +503,69 @@ def test_twin_pruning_decides_pools_closed_under_the_twin():
         assert search._exists_clique(rows, pool, size + 1, None, twin) is None, (graph, twin)
 
 
+def _random_cayley_graphs(rng, count):
+    """Random forbidden sets for k = 3..6; at k >= 5 dense enough that no clique is huge."""
+    for _ in range(count):
+        k = rng.choice((3, 4, 5, 6))
+        density = rng.random() if k <= 4 else rng.uniform(0.25, 1)
+        yield CompatibilityGraph(
+            k, frozenset(f for f in range(1, 1 << k) if rng.random() < density)
+        )
+
+
+def test_branch_order_on_positions_lists_the_ascending_coloring():
+    """On a pool of positions p = v xor (2^k - 1), the listed positions, taken back
+    to vertices, are those that a greedy coloring in ascending vertex order puts
+    at color `size` or above, in the same order."""
+    rng = random.Random(21)
+    for graph in _random_cayley_graphs(rng, 120):
+        top = len(graph) - 1
+        reference = _reference_rows(graph)
+        rows = search._Rows(graph)
+        for _ in range(4):
+            pool = rng.getrandbits(len(graph))
+            size = rng.randrange(1, graph.k + 3)
+            expected = [v for v, color in _reference_color_order(reference, pool) if color >= size]
+            order = search._branch_order(rows, rows.translate(pool, top), size, None)
+            assert [p ^ top for p in order] == expected, (graph, pool, size)
+
+
+def _reference_first_clique(rows, size):
+    """The first clique of the size through 0 in ascending depth-first order, or None.
+
+    Each clique is extended only by vertices above its last, lowest first,
+    so cliques of one size come in lexicographic order.
+    """
+
+    def extend(clique, candidates):
+        if len(clique) == size:
+            return clique
+        while len(clique) + candidates.bit_count() >= size:
+            v = (candidates & -candidates).bit_length() - 1
+            candidates ^= 1 << v
+            found = extend([*clique, v], candidates & rows[v])
+            if found is not None:
+                return found
+        return None
+
+    return extend([0], rows[0])
+
+
+def test_lex_least_clique_matches_brute_force():
+    """From the neighborhood of 0 in positions, the pass returns the lexicographically
+    least maximum clique through 0, found by plain depth-first enumeration."""
+    rng = random.Random(22)
+    for graph in _random_cayley_graphs(rng, 120):
+        top = len(graph) - 1
+        reference = _reference_rows(graph)
+        least = [0]
+        while (found := _reference_first_clique(reference, len(least) + 1)) is not None:
+            least = found
+        rows = search._Rows(graph)
+        clique = search._lex_least_clique(rows, rows.translate(rows.base, top), len(least), None)
+        assert [0, *(p ^ top for p in clique)] == least, graph
+
+
 def _count_calls(monkeypatch, name):
     """Record each call of a search-module function, recursive ones included."""
     calls = []
@@ -522,22 +585,28 @@ _GNP13 = ["0111111111", "1000001110", "1000000011", "1000010101", "1000000100",
 
 
 def test_exact_node_counts(monkeypatch, tmp_path):
-    """Decision calls, a node count that does not depend on machine speed."""
+    """Decision calls and colorings, node counts that do not depend on machine speed.
+
+    Both pin the search tree: a change that reorders a coloring, a branch
+    or a refutation moves one of them.
+    """
     decisions = _count_calls(monkeypatch, "_exists_clique")
     colorings = _count_calls(monkeypatch, "_branch_order")
     assert search_code(SearchConfig(ring_graph(9), 0, 3))[0].K == 12
     # 5422 with no difference dropped and full colorings, 3527 with no twin
     # pruning, 2803 without orbit dropping
-    assert len(decisions) == 911
+    assert (len(decisions), len(colorings)) == (911, 901)
     decisions.clear()
+    colorings.clear()
     # the same ring from an adjacency file, as the bench reads it, gets the same group
     ring9 = read_graph_file(tmp_path, ring_graph(9))
     assert search_code(SearchConfig(ring9, 0, 3))[0].K == 12
-    assert len(decisions) == 911
+    assert (len(decisions), len(colorings)) == (911, 901)
     decisions.clear()
+    colorings.clear()
     assert search_code(SearchConfig(from_adjacency(_GNP13), 1, 3))[0].K == 8
     # 3537 with no twin pruning
-    assert len(decisions) == 2709
+    assert (len(decisions), len(colorings)) == (2709, 2710)
     for n in (9, 10):
         decisions.clear()
         colorings.clear()
@@ -623,6 +692,49 @@ def test_orbit_dropping_matches_the_plain_raise(monkeypatch, tmp_path):
         assert with_orbits == plain, (graph, r, d)
     # 110 orbits of two or more differences drop on these graphs
     assert sum(mask.bit_count() > 1 for mask in dropped) > 50
+
+
+def _transvection_graphs(rng, count):
+    """Random Cayley graphs for k = 4..6 whose F a transvection A keeps.
+
+    A adds coordinate i to coordinate j, so it is an involution that moves
+    2^k - 1, which every kernel map of symmetric_searches fixes; F is a
+    random union of its orbits {v, A(v)}.
+    """
+    for _ in range(count):
+        k = rng.choice((4, 5, 6))
+        i, j = rng.sample(range(k), 2)
+        columns = tuple(1 << b | (1 << j if b == i else 0) for b in range(k))
+        keep, forbidden = rng.random(), set()
+        for v in range(1, 1 << k):
+            if rng.random() < keep:
+                forbidden |= {v, _apply(columns, v)}
+        yield CompatibilityGraph(k, frozenset(forbidden), lambda columns=columns: [columns])
+
+
+def test_raise_drops_each_refuted_orbit_in_positions(monkeypatch):
+    """The raise runs on positions p = v xor (2^k - 1) and drops the orbit {v, A(v)}
+    of each refuted difference v there; its maximum clique is the reference's."""
+    dropped = []
+    orbit = search._orbit_of
+
+    def recording(p, maps, act):
+        dropped.append((p, orbit(p, maps, act)))
+        return dropped[-1][1]
+
+    monkeypatch.setattr(search, "_orbit_of", recording)
+    config = SearchConfig(ring_graph(5), 2, 3)
+    paired = 0
+    for graph in _transvection_graphs(random.Random(4), 200):
+        dropped.clear()
+        assert find_max_clique(graph, config) == _reference_exact(graph), graph
+        top = len(graph) - 1
+        (columns,) = graph.symmetries()
+        for p, mask in dropped:
+            v = p ^ top
+            assert mask == 1 << p | 1 << (_apply(columns, v) ^ top), (graph, v)
+        paired += any(mask.bit_count() == 2 for _, mask in dropped)
+    assert paired > 10
 
 
 def test_distance_one_search_caches_no_row(monkeypatch):
