@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from math import comb
 from pathlib import Path
 
 from .code import OcwsCode, parse_code_file, write_code_file
@@ -25,6 +26,8 @@ from .induction import induced_error_set  # noqa: F401
 from .verify import certify_distance, corrects_weight, detects_set  # noqa: F401
 
 __all__ = ["main"]
+
+_MAX_PRODUCTS = 1 << 18  # distinct error products an oracle-check sweep may reach
 
 
 @functools.cache  # a parser holds reference cycles; build it once per process
@@ -182,13 +185,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     code, complete = search_code(config)
+    body = write_code_file(code)
+    if args.out is not None:
+        Path(args.out).write_text(body)  # first, so a failed write prints nothing
     print(f"CODE n={code.n} r={code.r} K={code.K} d={code.claimed_distance}")
     if not complete:
         _comment(args, f"incomplete: K={code.K} is the best found, not a proven maximum",
                  stderr_in_lines=True)
-    body = write_code_file(code)
     if args.out is not None:
-        Path(args.out).write_text(body)
         _comment(args, f"wrote {args.out}")
     else:
         sys.stdout.write(body)
@@ -212,6 +216,13 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if not 0 <= args.weight <= code.n:
         raise ValueError(f"--weight {args.weight} out of range for n={code.n}")
     check_dense_size(code.n, code.K << code.r)  # before the sweep or the basis is built
+    # a product of two errors of weight <= w has weight <= min(2w, n)
+    products = sum(comb(code.n, j) * 3**j for j in range(min(2 * args.weight, code.n) + 1))
+    if products > _MAX_PRODUCTS:
+        raise ValueError(
+            f"--weight {args.weight} sweep has up to {products} distinct error products "
+            f"(limit {_MAX_PRODUCTS})"
+        )
     errors = enumerate_paulis(code.n, args.weight, include_identity=True)
     report = oqec_check(code, errors, args.tol)  # rejects a bad --tol before any output
     _comment(

@@ -6,15 +6,15 @@ positions, and K distinct word bit-vectors supported on the first
 s = n - r qubits.  Word l encodes the Z-type word operator Z^{word_l}.
 The gauge group is generated by S_1..S_n together with g_j = Z_{s+j}.
 
-OcwsCode is the named tuple ``(graph, r, words, claimed_distance)``, and
-GaugeGroup the named tuple ``(generators, labels)`` with its GF(2) basis
-held beside the fields, out of ==, hash and repr.
+OcwsCode is the named tuple ``(graph, r, words, claimed_distance)`` and
+GaugeGroup the named tuple ``(generators, labels)``; both are their fields
+and nothing more.  The gauge group is read as one symplectic GF(2) basis,
+built straight from the graph rows by _gauge_basis wherever it is read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 from .graph import Graph, adjacency_lines, from_adjacency, ring_graph, stabilizer_generator
 from .pauli import PauliOperator, format_bits, parse_bits, parse_zstring
@@ -97,31 +97,26 @@ class _GF2Basis:
         return vector, combo
 
 
+def _combine(columns: tuple[int, ...] | list[int], a: int) -> int:
+    """XOR of the columns at the set bits of a: a's image under that linear map."""
+    image = 0
+    while a:
+        low = a & -a
+        image ^= columns[low.bit_length() - 1]
+        a ^= low
+    return image
+
+
 class GaugeGroup(namedtuple("GaugeGroup", "generators labels")):
-    """Generators S_1..S_n, g_1..g_r and their symplectic GF(2) basis.
+    """Generators S_1..S_n, g_1..g_r as PauliOperators, with their labels."""
 
-    basis is an attribute beside the two fields, so it takes no part in
-    ==, hash or repr; it is why the class has no __slots__ = ().
-    """
-
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
-
-    def __new__(
-        cls, generators: tuple[PauliOperator, ...], labels: tuple[str, ...], basis: _GF2Basis
-    ) -> GaugeGroup:
-        self = super().__new__(cls, generators, labels)
-        self.basis = basis
-        return self
-
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle rebuild through __new__, which needs the basis
-        return (*self, self.basis)
+    __slots__ = ()
 
 
 class OcwsCode(namedtuple("OcwsCode", "graph r words claimed_distance")):
     """A code instance; use new_code() or parse_code_file() to build one."""
 
-    # no __slots__ = (): cached_property keeps the gauge group in __dict__
+    __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
 
     def __new__(
@@ -169,21 +164,6 @@ class OcwsCode(namedtuple("OcwsCode", "graph r words claimed_distance")):
         """Z-type word operator for 0-based word index."""
         return PauliOperator(self.n, z=self.words[index])
 
-    @cached_property
-    def _gauge_group(self) -> GaugeGroup:
-        n = self.graph.n
-        generators = [stabilizer_generator(self.graph, i) for i in range(1, n + 1)]
-        labels = [f"S{i}" for i in range(1, n + 1)]
-        for j in range(1, self.r + 1):
-            generators.append(PauliOperator(n, z=1 << (self.s + j - 1)))
-            labels.append(f"g{j}")
-        basis = _GF2Basis()
-        for k, gen in enumerate(generators):
-            basis.add(_symplectic_vector(gen), 1 << k)
-        if basis.rank != n + self.r:
-            raise ValueError("gauge generators are not independent")
-        return GaugeGroup(tuple(generators), tuple(labels), basis)
-
 
 def _symplectic_vector(p: PauliOperator) -> int:
     return (p.x << p.n) | p.z
@@ -199,20 +179,38 @@ def new_code(
     return OcwsCode(graph, r, tuple(words), claimed_distance)
 
 
+def _gauge_labels(code: OcwsCode) -> tuple[str, ...]:
+    """S1..Sn, g1..gr: entry k labels generator k."""
+    return (*(f"S{i}" for i in range(1, code.n + 1)), *(f"g{j}" for j in range(1, code.r + 1)))
+
+
+def _gauge_basis(code: OcwsCode) -> _GF2Basis:
+    """The gauge group's symplectic GF(2) basis; combo bit k stands for generator k."""
+    n, s = code.n, code.s
+    basis = _GF2Basis()
+    vectors = [1 << (q + n) | row for q, row in enumerate(code.graph.rows)]
+    for k, vector in enumerate(vectors + [1 << (s + j) for j in range(code.r)]):
+        basis.add(vector, 1 << k)
+    if basis.rank != n + code.r:
+        raise ValueError("gauge generators are not independent")
+    return basis
+
+
 def gauge_generators(code: OcwsCode) -> GaugeGroup:
-    """The n + r gauge generators with their cached symplectic basis."""
-    return code._gauge_group
+    """The n + r gauge generators S_1..S_n, g_1..g_r as PauliOperators, with their labels."""
+    generators = [stabilizer_generator(code.graph, i) for i in range(1, code.n + 1)]
+    generators += [PauliOperator(code.n, z=1 << (code.s + j)) for j in range(code.r)]
+    return GaugeGroup(tuple(generators), _gauge_labels(code))
 
 
 def gauge_decomposition(code: OcwsCode, p: PauliOperator) -> str | None:
     """Generator product equal to p up to phase (e.g. ``"S7*g1"``), or None."""
     if p.n != code.n:
         raise ValueError(f"operator length {p.n} does not match code n={code.n}")
-    group = code._gauge_group
-    combo = group.basis.decompose(_symplectic_vector(p))
+    combo = _gauge_basis(code).decompose(_symplectic_vector(p))
     if combo is None:
         return None
-    parts = [group.labels[k] for k in range(len(group.labels)) if combo >> k & 1]
+    parts = [label for k, label in enumerate(_gauge_labels(code)) if combo >> k & 1]
     return "*".join(parts) if parts else "identity"
 
 

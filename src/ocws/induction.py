@@ -19,7 +19,7 @@ from collections import namedtuple
 from functools import reduce
 from operator import xor
 
-from .code import OcwsCode
+from .code import OcwsCode, _combine
 from .pauli import PauliOperator
 
 __all__ = [
@@ -46,14 +46,7 @@ def induce(code: OcwsCode, e: PauliOperator) -> int:
     """Raw induced Z bit-vector of e (before gauge reduction)."""
     if e.n != code.n:
         raise ValueError(f"operator length {e.n} does not match code n={code.n}")
-    bits = e.z
-    x = e.x
-    rows = code.graph.rows
-    while x:
-        low = x & -x
-        bits ^= rows[low.bit_length() - 1]
-        x ^= low
-    return bits
+    return e.z ^ _combine(code.graph.rows, e.x)
 
 
 def gauge_reduce(code: OcwsCode, bits: int) -> int:

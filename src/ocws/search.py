@@ -49,7 +49,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 
-from .code import OcwsCode, _GF2Basis, new_code
+from .code import OcwsCode, _GF2Basis, _combine, new_code
 from .graph import Graph, _orbit_of, automorphism_generators
 # enumerate_paulis, induced_error_set, certify_distance and corrects_weight
 # stay bound here for perfbench/spans.py
@@ -304,16 +304,6 @@ def _lex_least_clique(rows: _Rows, pool: int, size: int, deadline: float | None)
     return clique
 
 
-def _combine(columns: tuple[int, ...] | list[int], a: int) -> int:
-    """XOR of the columns at the set bits of a: a's image under that linear map."""
-    image = 0
-    while a:
-        low = a & -a
-        image ^= columns[low.bit_length() - 1]
-        a ^= low
-    return image
-
-
 def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tuple[list[int], bool]:
     rows = _Rows(graph)
     # some maximum clique contains vertex 0 by vertex transitivity
@@ -480,10 +470,8 @@ def _kernel_maps(
     identity = tuple(1 << i for i in range(len(basis)))
     maps = []
     for p in automorphism_generators(graph, s):
-        columns = tuple(
-            coordinates.decompose(sum(1 << p[q] for q in range(s) if row >> q & 1))
-            for row in basis
-        )
+        units = [1 << p[q] for q in range(s)]
+        columns = tuple(coordinates.decompose(_combine(units, row)) for row in basis)
         if columns != identity:
             maps.append(columns)
     return maps

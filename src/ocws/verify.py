@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .code import OcwsCode, _GF2Basis, gauge_decomposition, gauge_generators
+from .code import OcwsCode, _GF2Basis, _gauge_basis, gauge_decomposition
 from .induction import image_positions, induced_error_set, pauli_at, pauli_images
 # enumerate_paulis and paulis_of_weight stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, paulis_of_weight  # noqa: F401
@@ -87,12 +87,12 @@ def _differences(words: tuple[int, ...]) -> set[int]:
 
 
 def _first_failure(
-    code: OcwsCode, e: PauliOperator, differences: set[int]
+    code: OcwsCode, e: PauliOperator, differences: set[int], basis: _GF2Basis
 ) -> DetectionFailure | None:
     """e's first confusable word pair: the least i, then its partner j."""
     if e.n != code.n:
         raise ValueError(f"operator length {e.n} does not match code n={code.n}")
-    residue = gauge_generators(code).basis.canonical((e.x << code.n) | e.z)
+    residue = basis.canonical((e.x << code.n) | e.z)
     if residue not in differences:
         return None
     index = {c: j for j, c in enumerate(code.words, start=1)}
@@ -108,9 +108,10 @@ def detects_set(code: OcwsCode, errors) -> DetectionReport:
     """Check every error; the report lists each failure with one witness pair."""
     errors = list(errors)
     differences = _differences(code.words)
+    basis = _gauge_basis(code)
     failures = []
     for e in errors:
-        failure = _first_failure(code, e, differences)
+        failure = _first_failure(code, e, differences, basis)
         if failure is not None:
             failures.append(failure)
     return DetectionReport(len(errors), tuple(failures))
@@ -150,7 +151,8 @@ def analyze(code: OcwsCode, t: int) -> Analysis:
         raise ValueError(f"weight bound t={t} must be >= 0")
     n = code.n
     t = min(t, n)
-    canonical = gauge_generators(code).basis.canonical
+    basis = _gauge_basis(code)
+    canonical = basis.canonical
     residues = [canonical(1 << (q + n)) for q in range(n)], [canonical(1 << q) for q in range(n)]
     keys = _differences(code.words)
     keys.add(0)  # a gauge element: 0 is no word difference, so no failure
@@ -158,7 +160,7 @@ def analyze(code: OcwsCode, t: int) -> Analysis:
     for w in range(1, (n if code.K > 1 else t) + 1):
         for support, i, residue in image_positions(pauli_images(*residues, w), keys):
             if residue:
-                failure = _first_failure(code, pauli_at(n, support, i), keys)
+                failure = _first_failure(code, pauli_at(n, support, i), keys, basis)
                 return Analysis(w, failure, degenerate)
             if w <= t and degenerate is None:
                 e = pauli_at(n, support, i)

@@ -7,6 +7,7 @@ import random
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,18 @@ def test_search_ring9_emits_verifiable_code(capsys, tmp_path):
     rc, rout, _ = run(capsys, "verify", str(out_path), "--format", "lines")
     assert rc == 0
     assert rout == f"VERDICT pass n=9 K={k} r=1 d=3\n"
+
+
+def test_search_out_to_an_unwritable_path_prints_nothing(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "found.ocws"
+    code, out, err = run(
+        capsys,
+        "search", "--graph", "ring", "--n", "8", "--r", "1",
+        "--distance", "3", "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert not out_path.parent.exists()
 
 
 def test_search_stdout_body_parses(capsys):
@@ -381,6 +394,25 @@ def test_oracle_check_rejects_large_bases_before_allocating(capsys, tmp_path, mo
 
     monkeypatch.setattr("ocws.cli.enumerate_paulis", enumerate_nothing)
     assert run(capsys, "oracle-check", str(path), "--weight", "0") == (2, "", f"error: {message}\n")
+
+
+def test_oracle_check_bounds_the_product_sweep_before_enumerating(capsys, tmp_path, monkeypatch):
+    """Products of two weight-3 errors on 12 qubits reach 912,718 Paulis of weight <= 6."""
+    path = tmp_path / "ring12.ocws"
+    path.write_text(write_code_file(new_code(ring_graph(12), 1, (0,))))
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("errors enumerated before the product bound")
+
+    monkeypatch.setattr("ocws.cli.enumerate_paulis", enumerate_nothing)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle-check", str(path), "--weight", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --weight 3 sweep has up to 912718 distinct error products (limit 262144)\n"
+    )
+    assert cli._MAX_PRODUCTS == 1 << 18
 
 
 def test_adjacency_size_mismatch_exits_two(capsys, tmp_path):

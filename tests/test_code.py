@@ -22,7 +22,7 @@ from ocws import (
     ring_graph,
     write_code_file,
 )
-from ocws.code import _GF2Basis
+from ocws.code import _GF2Basis, _gauge_basis, _symplectic_vector
 from conftest import bits, random_code, random_graph
 
 
@@ -71,9 +71,25 @@ def test_gauge_generators_labels_and_count(code_8_1_1_3):
     group = gauge_generators(code_8_1_1_3)
     assert len(group.generators) == 9
     assert group.labels == ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "g1")
-    assert group.basis.rank == 9
+    assert _gauge_basis(code_8_1_1_3).rank == 9
     assert format_pauli(group.generators[0]) == "XZIIIIIZ"
     assert format_pauli(group.generators[8]) == "IIIIIIIZ"
+
+
+def test_gauge_basis_is_the_basis_of_the_generators():
+    """Rows and combos: built from the graph rows, as from the PauliOperator generators."""
+    rng = random.Random(61)
+    for n in range(3, 13):
+        for r in range(n):
+            code = random_code(rng, random_graph(rng, n), r, 1)
+            built = _GF2Basis()
+            for k, g in enumerate(gauge_generators(code).generators):
+                built.add(_symplectic_vector(g), 1 << k)
+            basis = _gauge_basis(code)
+            assert basis.rows() == built.rows() and basis.rank == n + r
+            assert [basis.decompose(v) for v in basis.rows()] == [
+                built.decompose(v) for v in built.rows()
+            ]
 
 
 def _span(code):

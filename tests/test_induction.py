@@ -14,7 +14,6 @@ from ocws import (
     enumerate_paulis,
     format_pauli,
     format_zstring,
-    gauge_generators,
     gauge_reduce,
     induce,
     induced_error_set,
@@ -28,6 +27,7 @@ from ocws import (
     ring_graph,
     weight,
 )
+from ocws.code import _gauge_basis
 from conftest import random_code, random_graph
 
 # raw and reduced induced Z-strings for every single-qubit Pauli on the
@@ -207,7 +207,7 @@ def _image_codes():
 def test_images_equal_the_per_pauli_maps():
     for code in _image_codes():
         n = code.n
-        basis = gauge_generators(code).basis
+        basis = _gauge_basis(code)
         residues = (
             [basis.canonical(1 << (q + n)) for q in range(n)],
             [basis.canonical(1 << q) for q in range(n)],
@@ -241,7 +241,7 @@ def test_gauge_residues_are_the_reduced_induced_images():
     assert any(c.r == 0 for c in codes) and any(c.K == 1 for c in codes)
     for code in codes:
         n = code.n
-        canonical = gauge_generators(code).basis.canonical
+        canonical = _gauge_basis(code).canonical
         residues = (
             [canonical(1 << (q + n)) for q in range(n)],
             [canonical(1 << q) for q in range(n)],

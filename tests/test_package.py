@@ -41,7 +41,7 @@ from ocws import (
     search,
     verify,
 )
-from ocws.code import _GF2Basis
+from ocws.code import _gauge_basis
 from conftest import ROOT, fixture_path
 
 _PROBE = """
@@ -95,13 +95,12 @@ def test_unknown_attribute_raises_attribute_error():
 
 _P = PauliOperator(5, x=1)
 _RING = ring_graph(5)
-_BASIS = _GF2Basis()
 # each public record: keyword arguments for one instance, and the defaults of
-# the fields it leaves out; basis and symmetries are attributes, not fields
+# the fields it leaves out; symmetries is an attribute, not a field
 _RECORDS = {
     PauliOperator: ({"n": 5}, {"x": 0, "z": 0}),
     Graph: ({"n": 3, "rows": (6, 5, 3)}, {}),
-    GaugeGroup: ({"generators": (_P,), "labels": ("S1",), "basis": _BASIS}, {}),
+    GaugeGroup: ({"generators": (_P,), "labels": ("S1",)}, {}),
     OcwsCode: ({"graph": _RING, "r": 1, "words": (0, 3)}, {"claimed_distance": None}),
     InducedError: ({"bits": 3, "sources": (_P,)}, {}),
     DetectionFailure: ({"error": _P, "word_i": 1, "word_j": 2, "decomposition": "S1"}, {}),
@@ -125,7 +124,7 @@ _RECORDS = {
         {},
     ),
 }
-_HIDDEN = {GaugeGroup: "basis", CompatibilityGraph: "symmetries"}
+_HIDDEN = {CompatibilityGraph: "symmetries"}
 
 
 def _fields(cls):
@@ -176,11 +175,20 @@ def test_equal_records_hash_equal(cls):
         assert hash(a) == hash(b)
 
 
-def test_basis_and_symmetries_change_neither_equality_nor_repr():
-    group = GaugeGroup((_P,), ("S1",), _GF2Basis())
-    other = GaugeGroup((_P,), ("S1",), _BASIS)
-    assert group == other and hash(group) == hash(other) and repr(group) == repr(other)
-    assert other.basis is _BASIS and "basis" not in repr(group)
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+def test_record_refuses_an_attribute_beside_its_fields(cls):
+    """CompatibilityGraph holds symmetries beside its fields; every other record is its fields."""
+    record = cls(**_RECORDS[cls][0])
+    if cls is CompatibilityGraph:
+        record.extra = 1
+        assert record.extra == 1 and record == cls(**_RECORDS[cls][0])
+    else:
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert not hasattr(record, "__dict__")
+
+
+def test_symmetries_change_neither_equality_nor_repr():
     plain = CompatibilityGraph(3, frozenset({1, 6}))
     acting = CompatibilityGraph(3, frozenset({1, 6}), lambda: [(2, 1, 4)])
     assert plain == acting and hash(plain) == hash(acting) and repr(plain) == repr(acting)
@@ -206,10 +214,7 @@ def test_replace_runs_the_record_checks(record, changes):
     assert record._replace() == record
 
 
-def test_replace_keeps_no_basis_or_symmetries():
-    group = GaugeGroup((_P,), ("S1",), _BASIS)
-    with pytest.raises(TypeError):
-        group._replace(labels=("g1",))
+def test_replace_keeps_no_symmetries():
     graph = CompatibilityGraph(3, frozenset({1, 6}), lambda: [(2, 1, 4)])
     smaller = graph._replace(k=2)
     assert smaller == (2, frozenset({1, 6})) and smaller.symmetries() == []
@@ -223,10 +228,10 @@ def test_record_survives_deepcopy(cls):
 
 def test_code_with_its_gauge_group_survives_copy_and_pickle():
     built = OcwsCode(_RING, 1, (0, 3))
-    assert ocws.certify_distance(built) == 1  # caches the gauge group
-    rows = ocws.gauge_generators(built).basis.rows()
+    rows = _gauge_basis(built).rows()
     for again in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
-        assert again == built and ocws.gauge_generators(again).basis.rows() == rows
+        assert again == built and _gauge_basis(again).rows() == rows
+        assert ocws.certify_distance(again) == 1
 
 
 def test_compatibility_graph_copies_without_a_tuple_of_its_vertex_count():

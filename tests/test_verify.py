@@ -34,6 +34,7 @@ from ocws import (
 )
 from ocws.cli import main
 from ocws import verify
+from ocws.code import _gauge_basis
 from ocws.verify import _differences
 from conftest import detects, load_workloads, random_code, random_graph
 
@@ -470,7 +471,7 @@ def test_verify_prints_degenerate_witness_when_distance_holds(capsys, tmp_path):
 
 def _per_pair_table(code):
     """Reference: the canonical residue of every word-pair difference, to its first pair."""
-    basis = gauge_generators(code).basis
+    basis = _gauge_basis(code)
     table = {}
     for (i, ci), (j, cj) in itertools.combinations(enumerate(code.words, start=1), 2):
         table.setdefault(basis.canonical(ci ^ cj), (i, j))
@@ -492,7 +493,7 @@ def _difference_cases(fixture):
 def test_words_are_their_own_canonical_residues(code_9_3_1_3):
     """Words avoid every pivot of the gauge basis: the X bits and the gauge qubits' Z bits."""
     for code in _difference_cases(code_9_3_1_3):
-        basis = gauge_generators(code).basis
+        basis = _gauge_basis(code)
         assert [basis.canonical(c) for c in code.words] == list(code.words)
 
 
@@ -507,7 +508,7 @@ def test_detects_set_reports_the_first_pair_of_each_failure(code_9_3_1_3):
     """Each failure of weight <= 3 names the first pair whose difference its residue is."""
     failures = 0
     for code in _difference_cases(code_9_3_1_3):
-        basis = gauge_generators(code).basis
+        basis = _gauge_basis(code)
         table = _per_pair_table(code)
         errors = enumerate_paulis(code.n, 3)
         pairs = [table.get(basis.canonical(e.x << code.n | e.z)) for e in errors]
