@@ -61,7 +61,7 @@ class _GF2Basis:
 
     def add(self, vector: int, combo: int = 0) -> bool:
         """Insert a vector; returns False if it was already in the span."""
-        residue, combo = self._reduce(vector, combo)
+        residue, combo = self.reduce(vector, combo)
         if residue == 0:
             return False
         pivot = residue.bit_length() - 1
@@ -74,7 +74,7 @@ class _GF2Basis:
 
     def decompose(self, vector: int) -> int | None:
         """Combination mask expressing the vector, or None if outside the span."""
-        residue, combo = self._reduce(vector, 0)
+        residue, combo = self.reduce(vector)
         return combo if residue == 0 else None
 
     def canonical(self, vector: int) -> int:
@@ -83,9 +83,10 @@ class _GF2Basis:
         The map is GF(2)-linear, so two vectors differ by a span element
         exactly when their canonical forms are equal.
         """
-        return self._reduce(vector, 0)[0]
+        return self.reduce(vector)[0]
 
-    def _reduce(self, vector: int, combo: int) -> tuple[int, int]:
+    def reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
+        """The canonical form, and combo XOR the combination of the rows taken off."""
         # a row changes no pivot bit but its own, so the hits are fixed up front
         hits = vector & self._pivots
         while hits:
@@ -208,10 +209,12 @@ def gauge_decomposition(code: OcwsCode, p: PauliOperator) -> str | None:
     if p.n != code.n:
         raise ValueError(f"operator length {p.n} does not match code n={code.n}")
     combo = _gauge_basis(code).decompose(_symplectic_vector(p))
-    if combo is None:
-        return None
-    parts = [label for k, label in enumerate(_gauge_labels(code)) if combo >> k & 1]
-    return "*".join(parts) if parts else "identity"
+    return None if combo is None else _gauge_product(code, combo)
+
+
+def _gauge_product(code: OcwsCode, combo: int) -> str:
+    """The generators at the set bits of combo as a product ("S7*g1"), or "identity"."""
+    return "*".join(g for k, g in enumerate(_gauge_labels(code)) if combo >> k & 1) or "identity"
 
 
 # the integer keys, each with its message for a value below 1; new_code checks r

@@ -9,10 +9,10 @@ can coexist in a code of target distance d exactly when their XOR
 difference avoids every gauge-reduced induced error of weight <= d - 1.
 In the coordinates of a fully reduced echelon basis of the kernel, the
 compatibility graph is therefore CompatibilityGraph(k, forbidden), a
-named tuple read as a Cayley graph on the ints 0..2^k - 1, and a maximum
-clique is a maximum-size word set; SearchConfig is a named tuple too.
-The parity constraints, the kernel basis and the coordinates all come
-from code._GF2Basis.  The coordinate map preserves
+named tuple of just those fields read as a Cayley graph on the ints
+0..2^k - 1, and a maximum clique is a maximum-size word set; SearchConfig
+is a named tuple too.  The parity constraints, the kernel basis and the
+coordinates all come from code._GF2Basis.  The coordinate map preserves
 order, so the lexicographically least clique maps to the least word set.
 
 The exact mode raises the ascending walk from vertex 0, which is the
@@ -30,8 +30,10 @@ in its orbit action and in the cliques it hands back.  The
 raise drops each difference that fails to extend, with its whole orbit
 under the graph's automorphisms that keep the gauge block, carried to
 kernel coordinates (orbit pruning as in Kaski & Östergård,
-"Classification Algorithms for Codes and Designs", 2006).  The group is
-built, as generators, only when the raise first refutes a difference.
+"Classification Algorithms for Codes and Designs", 2006).  The group
+comes from the qubit graph, not from the Cayley graph, so search_code
+hands find_max_clique a call that builds it, as generators, beside the
+graph; the raise makes that call only when it first refutes a difference.
 In the root branch on v, each refuted child drops with its twin, the
 child xor v.  The lex-least pass keeps every difference, prunes no twin,
 uses no group and resumes at vertex 0.  Greedy restarts draw the same
@@ -145,33 +147,19 @@ class CompatibilityGraph(namedtuple("CompatibilityGraph", "k forbidden")):
     Edges join pairs whose XOR difference is not forbidden.  The graph is
     vertex-transitive, with every neighborhood an XOR translate of the
     neighborhood of 0.  len() is its vertex count 2^k, not its field count.
-
-    symmetries returns generators of linear maps that keep `forbidden`,
-    each as its k column images; it is called only when the raise first
-    refutes a difference.  It is an attribute beside the two fields, so it
-    takes no part in ==, hash or repr; it is why the class has no
-    __slots__ = ().
     """
 
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
-
-    def __new__(
-        cls,
-        k: int,
-        forbidden: frozenset[int],
-        symmetries: Callable[[], list[tuple[int, ...]]] = lambda: [],
-    ) -> CompatibilityGraph:
-        self = super().__new__(cls, k, forbidden)
-        self.symmetries = symmetries
-        return self
+    __slots__ = ()
+    # namedtuple's own _make checks len() against the field count
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __len__(self) -> int:
         return 1 << self.k
 
     def __getnewargs__(self) -> tuple:
-        # copy and pickle rebuild through __new__; namedtuple's own would size
+        # copy and pickle rebuild from the fields; namedtuple's own would size
         # a tuple from len(), 2^k slots
-        return (self.k, self.forbidden, self.symmetries)
+        return (self.k, self.forbidden)
 
 
 class _Deadline(Exception):
@@ -304,7 +292,11 @@ def _lex_least_clique(rows: _Rows, pool: int, size: int, deadline: float | None)
     return clique
 
 
-def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tuple[list[int], bool]:
+def _exact_max_clique(
+    graph: CompatibilityGraph,
+    symmetries: Callable[[], list[tuple[int, ...]]],
+    deadline: float | None,
+) -> tuple[list[int], bool]:
     rows = _Rows(graph)
     # some maximum clique contains vertex 0 by vertex transitivity
     allowed = rows.base
@@ -343,7 +335,7 @@ def _exact_max_clique(graph: CompatibilityGraph, deadline: float | None) -> tupl
                 # v; for a linear map A keeping the forbidden set, A^-1 maps one
                 # through 0 and A(v) onto one through 0 and v: the orbit drops
                 if maps is None:
-                    maps = graph.symmetries()
+                    maps = symmetries()
                 allowed &= ~_orbit_of(p, maps, lambda g, q: _combine(g, q ^ top) ^ top)
             else:
                 best = [0, v, *(q ^ top for q in found)]
@@ -411,7 +403,9 @@ def _greedy_cliques(
 
 
 def find_max_clique(
-    compatibility: CompatibilityGraph, config: SearchConfig
+    compatibility: CompatibilityGraph,
+    config: SearchConfig,
+    symmetries: Callable[[], list[tuple[int, ...]]] = lambda: [],
 ) -> tuple[list[int], bool]:
     """Largest clique of the compatibility graph plus a completeness flag.
 
@@ -421,14 +415,19 @@ def find_max_clique(
     largest clique proven so far, flagged incomplete.  Greedy mode returns
     the best of seeded restarts and is never flagged complete.  The clique
     is sorted, and the output is deterministic for a given mode and seed.
-    The budget is checked once per color class or once per restart;
-    building the automorphism group is bounded by its node limit instead.
+
+    symmetries returns generators of linear maps of GF(2)^k that keep the
+    forbidden set, each as its k column images; the default is no group.
+    Exact mode calls it once, when the raise first refutes a difference,
+    and greedy mode never does.  The budget is checked once per color class
+    or once per restart; building the group is bounded by its node limit
+    instead.
     """
     deadline = None
     if config.time_budget is not None:
         deadline = time.monotonic() + config.time_budget
     if config.mode == "exact":
-        return _exact_max_clique(compatibility, deadline)
+        return _exact_max_clique(compatibility, symmetries, deadline)
     return _greedy_cliques(compatibility, config.seed, deadline)
 
 
@@ -477,8 +476,10 @@ def _kernel_maps(
     return maps
 
 
-def _compatibility(config: SearchConfig) -> tuple[CompatibilityGraph, list[int]]:
-    """The Cayley graph of the parity kernel in coordinates, and the kernel basis."""
+def _compatibility(
+    config: SearchConfig,
+) -> tuple[CompatibilityGraph, Callable[[], list[tuple[int, ...]]], list[int]]:
+    """The parity kernel's Cayley graph in coordinates, a call building its group, the basis."""
     skeleton = new_code(config.graph, config.r, (0,))
     forbidden = forbidden_differences(skeleton, config.target_distance - 1)
     basis = _parity_kernel(skeleton, (config.target_distance - 1) // 2)
@@ -486,12 +487,8 @@ def _compatibility(config: SearchConfig) -> tuple[CompatibilityGraph, list[int]]
     for i, row in enumerate(basis):
         coordinates.add(row, 1 << i)
     in_kernel = (coordinates.decompose(f) for f in forbidden)
-    graph = CompatibilityGraph(
-        len(basis),
-        frozenset(a for a in in_kernel if a is not None),
-        lambda: _kernel_maps(config.graph, config.s, basis, coordinates),
-    )
-    return graph, basis
+    graph = CompatibilityGraph(len(basis), frozenset(a for a in in_kernel if a is not None))
+    return graph, lambda: _kernel_maps(config.graph, config.s, basis, coordinates), basis
 
 
 def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:
@@ -502,8 +499,8 @@ def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:
     the exception carries the best clique size achieved.
     """
     t = (config.target_distance - 1) // 2
-    graph, basis = _compatibility(config)
-    clique, complete = find_max_clique(graph, config)
+    graph, symmetries, basis = _compatibility(config)
+    clique, complete = find_max_clique(graph, config, symmetries)
     k = len(clique)
     if config.target_K is not None and k < config.target_K:
         raise SearchError(

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .code import OcwsCode, _GF2Basis, _gauge_basis, gauge_decomposition
+from .code import OcwsCode, _GF2Basis, _gauge_basis, _gauge_product
 from .induction import image_positions, induced_error_set, pauli_at, pauli_images
 # enumerate_paulis and paulis_of_weight stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, paulis_of_weight  # noqa: F401
-from .pauli import PauliOperator, multiply
+from .pauli import PauliOperator
 
 __all__ = [
     "DetectionFailure",
@@ -89,19 +89,20 @@ def _differences(words: tuple[int, ...]) -> set[int]:
 def _first_failure(
     code: OcwsCode, e: PauliOperator, differences: set[int], basis: _GF2Basis
 ) -> DetectionFailure | None:
-    """e's first confusable word pair: the least i, then its partner j."""
+    """e's first confusable word pair: the least i, then its partner j.
+
+    w_i E w_j is E with its residue c_i xor c_j XORed into Z: the gauge
+    element that E's reduction took off, named by that reduction's combo.
+    """
     if e.n != code.n:
         raise ValueError(f"operator length {e.n} does not match code n={code.n}")
-    residue = basis.canonical((e.x << code.n) | e.z)
+    residue, combo = basis.reduce((e.x << code.n) | e.z)
     if residue not in differences:
         return None
     index = {c: j for j, c in enumerate(code.words, start=1)}
     # the least i with a partner comes first, so its partner j follows it
     i, j = next((i, index[c ^ residue]) for c, i in index.items() if c ^ residue in index)
-    product = multiply(multiply(code.word_operator(i - 1), e), code.word_operator(j - 1))
-    decomposition = gauge_decomposition(code, product)
-    assert decomposition is not None
-    return DetectionFailure(e, i, j, decomposition)
+    return DetectionFailure(e, i, j, _gauge_product(code, combo))
 
 
 def detects_set(code: OcwsCode, errors) -> DetectionReport:
@@ -109,12 +110,8 @@ def detects_set(code: OcwsCode, errors) -> DetectionReport:
     errors = list(errors)
     differences = _differences(code.words)
     basis = _gauge_basis(code)
-    failures = []
-    for e in errors:
-        failure = _first_failure(code, e, differences, basis)
-        if failure is not None:
-            failures.append(failure)
-    return DetectionReport(len(errors), tuple(failures))
+    found = (_first_failure(code, e, differences, basis) for e in errors)
+    return DetectionReport(len(errors), tuple(f for f in found if f is not None))
 
 
 class DegenerateFailure(namedtuple("DegenerateFailure", "error word")):

@@ -639,14 +639,14 @@ def test_kernel_maps_keep_the_forbidden_set_and_the_kernel(tmp_path):
     """Each map is invertible and keeps F; each qubit permutation keeps the kernel."""
     for graph, r, d in symmetric_searches(tmp_path):
         config = SearchConfig(graph, r, d)
-        compatibility, basis = search._compatibility(config)
+        compatibility, symmetries, basis = search._compatibility(config)
         k = len(basis)
         kernel = {_apply(basis, a) for a in range(1 << k)}
         s = graph.n - r
         for p in automorphism_generators(graph, s):
             moved = {sum(1 << p[q] for q in range(s) if w >> q & 1) for w in kernel}
             assert moved == kernel, (graph, r, p)
-        for columns in compatibility.symmetries():
+        for columns in symmetries():
             assert len(columns) == k
             assert sorted(_apply(columns, a) for a in range(1 << k)) == list(range(1 << k))
             image = frozenset(_apply(columns, f) for f in compatibility.forbidden)
@@ -655,8 +655,8 @@ def test_kernel_maps_keep_the_forbidden_set_and_the_kernel(tmp_path):
 
 def test_orbit_closure_matches_the_listed_group():
     """On ring-9 r=0 the 18 maps, listed by closure, give the same orbits."""
-    compatibility, basis = search._compatibility(SearchConfig(ring_graph(9), 0, 3))
-    generators = compatibility.symmetries()
+    _, symmetries, basis = search._compatibility(SearchConfig(ring_graph(9), 0, 3))
+    generators = symmetries()
     k = len(basis)
     identity = tuple(1 << i for i in range(k))
     group, frontier = {identity}, [identity]
@@ -695,11 +695,11 @@ def test_orbit_dropping_matches_the_plain_raise(monkeypatch, tmp_path):
 
 
 def _transvection_graphs(rng, count):
-    """Random Cayley graphs for k = 4..6 whose F a transvection A keeps.
+    """Random Cayley graphs for k = 4..6 whose F a transvection A keeps, each with A.
 
     A adds coordinate i to coordinate j, so it is an involution that moves
     2^k - 1, which every kernel map of symmetric_searches fixes; F is a
-    random union of its orbits {v, A(v)}.
+    random union of its orbits {v, A(v)}.  A comes as its column images.
     """
     for _ in range(count):
         k = rng.choice((4, 5, 6))
@@ -709,7 +709,7 @@ def _transvection_graphs(rng, count):
         for v in range(1, 1 << k):
             if rng.random() < keep:
                 forbidden |= {v, _apply(columns, v)}
-        yield CompatibilityGraph(k, frozenset(forbidden), lambda columns=columns: [columns])
+        yield CompatibilityGraph(k, frozenset(forbidden)), columns
 
 
 def test_raise_drops_each_refuted_orbit_in_positions(monkeypatch):
@@ -725,11 +725,10 @@ def test_raise_drops_each_refuted_orbit_in_positions(monkeypatch):
     monkeypatch.setattr(search, "_orbit_of", recording)
     config = SearchConfig(ring_graph(5), 2, 3)
     paired = 0
-    for graph in _transvection_graphs(random.Random(4), 200):
+    for graph, columns in _transvection_graphs(random.Random(4), 200):
         dropped.clear()
-        assert find_max_clique(graph, config) == _reference_exact(graph), graph
+        assert find_max_clique(graph, config, lambda: [columns]) == _reference_exact(graph), graph
         top = len(graph) - 1
-        (columns,) = graph.symmetries()
         for p, mask in dropped:
             v = p ^ top
             assert mask == 1 << p | 1 << (_apply(columns, v) ^ top), (graph, v)

@@ -106,3 +106,23 @@ def test_oracle_check_through_the_cli_records_check_and_state_spans(capsys):
     names = [span[0] for span in tracer.spans]
     state = tracer.spans[names.index("oracle.state")]
     assert state[3] == names.index("oracle.check")  # the state is built inside the check
+
+
+def test_search_through_the_cli_records_its_clique_span_and_counters(capsys):
+    """find_max_clique, which takes the group beside the graph, stays the traced boundary."""
+    from ocws.cli import main
+
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        argv = ["search", "--graph", "ring", "--n", "9", "--r", "0", "--distance", "3"]
+        assert main([*argv, "--format", "lines"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.startswith("CODE n=9 r=0 K=12 d=3\n")
+    names = [span[0] for span in tracer.spans]
+    clique = tracer.spans[names.index("search.clique")]
+    assert clique[3] == names.index("search.search_code")
+    assert tracer.counts["search.candidates"] == 512
+    assert tracer.counts["search.clique_k"] == 12
+    assert tracer.counts["search.complete"] == 1

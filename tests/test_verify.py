@@ -33,7 +33,7 @@ from ocws import (
     write_code_file,
 )
 from ocws.cli import main
-from ocws import verify
+from ocws import code as code_module, verify
 from ocws.code import _gauge_basis
 from ocws.verify import _differences
 from conftest import detects, load_workloads, random_code, random_graph
@@ -425,6 +425,27 @@ def test_analyze_sweeps_each_weight_once(monkeypatch, code_8_1_1_3, code_9_3_1_3
             assert calls == list(range(1, swept + 1)), (code, t)
             witnesses += a.degenerate is not None
     assert witnesses >= 3
+
+
+def test_one_gauge_basis_per_analyze_and_per_detects_set(monkeypatch, code_8_1_1_3,
+                                                         code_9_3_1_3):
+    """A witness is named by the reduction that found it, so no call builds a second basis."""
+    builds = []
+    build = code_module._gauge_basis
+
+    def counting(code):
+        builds.append(code)
+        return build(code)
+
+    monkeypatch.setattr(code_module, "_gauge_basis", counting)
+    monkeypatch.setattr(verify, "_gauge_basis", counting)
+    for code in (code_8_1_1_3, code_9_3_1_3):
+        builds.clear()
+        assert analyze(code, 1).failure is not None
+        assert len(builds) == 1
+        builds.clear()
+        assert len(detects_set(code, enumerate_paulis(code.n, 3)).failures) > 1
+        assert len(builds) == 1
 
 
 def test_cli_verify_matches_reference_lines(capsys, tmp_path):
