@@ -24,7 +24,10 @@ so the lowest open vertex of a mask is mask.bit_length() - 1.  The XOR is
 a translation, an automorphism of the Cayley graph, so rows, translates
 and twins read the same in positions, and ascending vertex order is
 descending position order: every coloring, branch and output is the one
-that vertex order gives.  Vertex ids meet positions only in the raise:
+that vertex order gives.  A pick reads its row and bit from two lists
+built once over the root pool, which holds every pool met, so it builds
+no integer (San Segundo et al., 2011); see _Rows.positions.  Vertex ids
+meet positions only in the raise:
 at its root pool, at the difference p xor (2^k - 1) of each root branch,
 in its orbit action and in the cliques it hands back.  The
 raise drops each difference that fails to extend, with its whole orbit
@@ -39,8 +42,9 @@ child xor v.  The lex-least pass keeps every difference, prunes no twin,
 uses no group and resumes at vertex 0.  Greedy restarts draw the same
 permutations as random.shuffle on random.Random(seed), drawn inline, and
 a restart stops once its clique and pool together fall short of the best
-size, which leaves the result unchanged.  One verifier sweep re-checks
-each found code.
+size, which leaves the result unchanged.  A budget cuts a restart at a
+member; its clique so far competes.  One verifier sweep re-checks each
+found code.
 """
 
 from __future__ import annotations
@@ -175,7 +179,8 @@ class _Rows(dict):
     when u xor v is forbidden, the mask of p is also the exact engine's in
     positions p = v xor (2^k - 1), bit q standing for position q; only
     `base`, a pool, needs translate(base, 2^k - 1) there.  Masks are kept up
-    to _ROW_CACHE_BYTES; past that they are recomputed.
+    to _ROW_CACHE_BYTES; past that they are recomputed.  positions() lists
+    the exact engine's rows and bits instead while they fit that bound.
     """
 
     def __init__(self, graph: CompatibilityGraph):
@@ -206,8 +211,39 @@ class _Rows(dict):
                 mask = ((mask & low) << step) | ((mask >> step) & low)
         return mask
 
+    def positions(self, root: int) -> tuple[list | _Rows, list | _Bits]:
+        """Rows cut to the root pool, and bits 1 << p, listed at its positions.
 
-def _branch_order(rows: _Rows, pool: int, size: int, deadline: float | None) -> list[int]:
+        Each row is the last one translated by a position XOR, a bit or two
+        on average.  Past _ROW_CACHE_BYTES, this mapping and _Bits serve.
+        """
+        width = root.bit_length()
+        # a row and a bit take at most width // 8 + 1 bytes each
+        if 16 * width + 2 * root.bit_count() * (width // 8 + 1) > _ROW_CACHE_BYTES:
+            return self, _Bits()
+        rows: list = [None] * width
+        bits: list = [None] * width
+        mask, at, rest = self.base, 0, root
+        while rest:
+            p = rest.bit_length() - 1
+            bits[p] = bit = 1 << p
+            rest ^= bit
+            mask = self.translate(mask, at ^ p)
+            at = p
+            rows[p] = root ^ (root & (mask | bit))
+        return rows, bits
+
+
+class _Bits(dict):
+    """1 << p by position p, built on each read."""
+
+    def __missing__(self, p: int) -> int:
+        return 1 << p
+
+
+def _branch_order(
+    rows: list | _Rows, bits: list | _Bits, pool: int, size: int, deadline: float | None
+) -> list[int]:
     """Positions that a greedy coloring of the pool puts in color `size` or above.
 
     The pool is a mask over positions p = v xor (2^k - 1), so vertex 0 is
@@ -218,7 +254,7 @@ def _branch_order(rows: _Rows, pool: int, size: int, deadline: float | None) -> 
     listed vertex is branched on and dropped, the pool is refuted.  A pool
     of fewer than `size` vertices is refuted without touching a row.  Each
     class clears its members' closed neighborhoods with one AND of their
-    cached masks, and checks the deadline once before it starts.
+    rows, and checks the deadline once before it starts.
     """
     if pool.bit_count() < size:
         return []
@@ -231,20 +267,21 @@ def _branch_order(rows: _Rows, pool: int, size: int, deadline: float | None) -> 
         if color < size:
             while available:
                 p = available.bit_length() - 1
-                pool ^= 1 << p
+                pool ^= bits[p]
                 available &= rows[p]
         else:
             while available:
                 p = available.bit_length() - 1
                 order.append(p)
-                pool ^= 1 << p
+                pool ^= bits[p]
                 available &= rows[p]
         color += 1
     return order
 
 
 def _exists_clique(
-    rows: _Rows, pool: int, size: int, deadline: float | None, twin: int = 0
+    rows: list | _Rows, bits: list | _Bits, pool: int, size: int, deadline: float | None,
+    twin: int = 0,
 ) -> list[int] | None:
     """A clique of the given size within the pool, or None if there is none.
 
@@ -256,22 +293,24 @@ def _exists_clique(
     """
     if size <= 0:
         return []
-    for p in reversed(_branch_order(rows, pool, size, deadline)):
-        bit = 1 << p
+    for p in reversed(_branch_order(rows, bits, pool, size, deadline)):
+        bit = bits[p]
         if not pool & bit:
             # dropped as the twin of a refuted position
             continue
         pool ^= bit
-        found = _exists_clique(rows, pool & ~rows[p], size - 1, deadline)
+        found = _exists_clique(rows, bits, pool ^ (pool & rows[p]), size - 1, deadline)
         if found is not None:
             found.append(p)
             return found
         if twin:
-            pool &= ~(1 << (p ^ twin))
+            pool ^= pool & bits[p ^ twin]
     return None
 
 
-def _lex_least_clique(rows: _Rows, pool: int, size: int, deadline: float | None) -> list[int]:
+def _lex_least_clique(
+    rows: list | _Rows, bits: list | _Bits, pool: int, size: int, deadline: float | None
+) -> list[int]:
     """Lexicographically least index clique of a size known to exist, less its vertex 0.
 
     pool is the neighborhood of vertex 0, and the members come back, in
@@ -284,9 +323,9 @@ def _lex_least_clique(rows: _Rows, pool: int, size: int, deadline: float | None)
     clique: list[int] = []
     while len(clique) < size - 1:
         p = pool.bit_length() - 1
-        pool ^= 1 << p
-        narrowed = pool & ~rows[p]
-        if _exists_clique(rows, narrowed, size - len(clique) - 2, deadline) is not None:
+        pool ^= bits[p]
+        narrowed = pool ^ (pool & rows[p])
+        if _exists_clique(rows, bits, narrowed, size - len(clique) - 2, deadline) is not None:
             clique.append(p)
             pool = narrowed
     return clique
@@ -319,17 +358,18 @@ def _exact_max_clique(
     top = len(graph) - 1
     root = rows.translate(allowed, top) if allowed.bit_count() >= walk else 0
     allowed = root
+    table, bits = rows.positions(root)
     try:
-        order = _branch_order(rows, allowed, walk, deadline)
+        order = _branch_order(table, bits, allowed, walk, deadline)
         while order:
             p = order.pop()
-            if not allowed >> p & 1:
+            if not allowed & bits[p]:
                 # dropped with the orbit of a refuted difference
                 continue
             # q -> q xor v keeps this pool and its edges and swaps 0 with v
             v = p ^ top
             pool = allowed & rows.translate(allowed, v)
-            found = _exists_clique(rows, pool, len(best) - 1, deadline, v)
+            found = _exists_clique(table, bits, pool, len(best) - 1, deadline, v)
             if found is None:
                 # translated by a, a larger clique with a ^ b = v would hold 0 and
                 # v; for a linear map A keeping the forbidden set, A^-1 maps one
@@ -339,10 +379,10 @@ def _exact_max_clique(
                 allowed &= ~_orbit_of(p, maps, lambda g, q: _combine(g, q ^ top) ^ top)
             else:
                 best = [0, v, *(q ^ top for q in found)]
-                order = _branch_order(rows, allowed, len(best), deadline)
+                order = _branch_order(table, bits, allowed, len(best), deadline)
         # the walk is the lex-least maximal clique; if maximum, it is the answer
         if len(best) > walk:
-            least = _lex_least_clique(rows, root, len(best), deadline)
+            least = _lex_least_clique(table, bits, root, len(best), deadline)
             best = [0, *(p ^ top for p in least)]
     except _Deadline:
         return sorted(best), False
@@ -393,6 +433,9 @@ def _greedy_cliques(
                 # abandoned once it cannot reach best's size; a tie can still win
                 if not pool or len(clique) + pool.bit_count() < len(best):
                     break
+                # cut at a member, a restart offers its clique and the check above ends the run
+                if deadline is not None and time.monotonic() > deadline:
+                    break
         if len(clique) < len(best):
             continue
         low = min(clique)
@@ -419,9 +462,9 @@ def find_max_clique(
     symmetries returns generators of linear maps of GF(2)^k that keep the
     forbidden set, each as its k column images; the default is no group.
     Exact mode calls it once, when the raise first refutes a difference,
-    and greedy mode never does.  The budget is checked once per color class
-    or once per restart; building the group is bounded by its node limit
-    instead.
+    and greedy mode never does.  The budget is checked once per color class,
+    or before each restart and at each member a restart adds; building the
+    group is bounded by its node limit instead.
     """
     deadline = None
     if config.time_budget is not None:

@@ -495,12 +495,12 @@ def test_twin_pruning_decides_pools_closed_under_the_twin():
         size = 0
         while _reference_decision(reference, pool, size + 1) is not None:
             size += 1
-        rows = search._Rows(graph)
-        found = search._exists_clique(rows, pool, size, None, twin)
+        rows, bits = search._Rows(graph).positions(pool)
+        found = search._exists_clique(rows, bits, pool, size, None, twin)
         assert found is not None and len(found) == size, (graph, twin, pool)
         assert all(pool >> u & 1 for u in found)
         assert all(a ^ b not in graph.forbidden for a, b in itertools.combinations(found, 2))
-        assert search._exists_clique(rows, pool, size + 1, None, twin) is None, (graph, twin)
+        assert search._exists_clique(rows, bits, pool, size + 1, None, twin) is None, (graph, twin)
 
 
 def _random_cayley_graphs(rng, count):
@@ -526,7 +526,8 @@ def test_branch_order_on_positions_lists_the_ascending_coloring():
             pool = rng.getrandbits(len(graph))
             size = rng.randrange(1, graph.k + 3)
             expected = [v for v, color in _reference_color_order(reference, pool) if color >= size]
-            order = search._branch_order(rows, rows.translate(pool, top), size, None)
+            positions = rows.translate(pool, top)
+            order = search._branch_order(*rows.positions(positions), positions, size, None)
             assert [p ^ top for p in order] == expected, (graph, pool, size)
 
 
@@ -562,7 +563,8 @@ def test_lex_least_clique_matches_brute_force():
         while (found := _reference_first_clique(reference, len(least) + 1)) is not None:
             least = found
         rows = search._Rows(graph)
-        clique = search._lex_least_clique(rows, rows.translate(rows.base, top), len(least), None)
+        root = rows.translate(rows.base, top)
+        clique = search._lex_least_clique(*rows.positions(root), root, len(least), None)
         assert [0, *(p ^ top for p in clique)] == least, graph
 
 
@@ -613,6 +615,65 @@ def test_exact_node_counts(monkeypatch, tmp_path):
         search_code(SearchConfig(ring_graph(n), 1, 3))
         # the root coloring refutes the first raise on its own
         assert (len(decisions), len(colorings)) == (0, 1)
+
+
+def _count_missing_rows(monkeypatch):
+    """Record each row the _Rows mapping computes."""
+    calls = []
+    missing = search._Rows.__missing__
+
+    def counting(rows, index):
+        calls.append(index)
+        return missing(rows, index)
+
+    monkeypatch.setattr(search._Rows, "__missing__", counting)
+    return calls
+
+
+def test_both_row_stores_give_the_same_search(monkeypatch):
+    """Past the byte bound the engine indexes the _Rows mapping and _Bits in place of
+    the two lists, with the same cliques, decision calls and colorings.
+
+    At 12 KiB the mapping keeps 189 rows, fewer than either root pool holds
+    (268 and 232 positions), so it both caches rows and recomputes them.
+    """
+    searches = (
+        (SearchConfig(ring_graph(9), 0, 3), (911, 901)),
+        (SearchConfig(from_adjacency(_GNP13), 1, 3), (2709, 2710)),
+    )
+    listed = [search_code(config) for config, _ in searches]
+    missing = _count_missing_rows(monkeypatch)
+    decisions = _count_calls(monkeypatch, "_exists_clique")
+    colorings = _count_calls(monkeypatch, "_branch_order")
+    monkeypatch.setattr(search, "_ROW_CACHE_BYTES", 12 << 10)
+    for (config, counts), expected in zip(searches, listed):
+        missing.clear()
+        decisions.clear()
+        colorings.clear()
+        assert search_code(config) == expected
+        assert (len(decisions), len(colorings)) == counts
+        # the mapping served every row, and recomputed some past its room
+        assert len(missing) > len(set(missing)) > 0
+
+
+def test_bench_sized_searches_read_rows_only_from_the_lists(monkeypatch):
+    """Every search-exact bench instance, k <= 11, computes no row in the _Rows mapping.
+
+    A fallback to the mapping would give the same output, only slower.
+    """
+    workloads = load_workloads()
+    configs = [SearchConfig(ring_graph(n), r, d) for n, r, d, _, _ in workloads.EXACT_RINGS]
+    configs += [SearchConfig(Graph(10, workloads.gnp_rows(10, seed)), 1, 3)
+                for seed, _ in workloads.GNP_BASES]
+    configs += [SearchConfig(Graph(n, workloads.edge_rows(n, edges)), r, 3)
+                for _, n, r, edges, _, _ in workloads.PARITY_GRAPHS]
+    missing = _count_missing_rows(monkeypatch)
+    colorings = _count_calls(monkeypatch, "_branch_order")
+    for config in configs:
+        assert search._compatibility(config)[0].k <= 11
+        search_code(config)
+    assert len(colorings) > 1000
+    assert missing == []
 
 
 def test_group_is_built_only_once_the_raise_refutes_a_difference(monkeypatch):
@@ -740,19 +801,22 @@ def test_distance_one_search_caches_no_row(monkeypatch):
     """At d = 1 the graph is complete: the walk takes every vertex and nothing raises it.
 
     A walk that cached each member's row, or a root coloring of a pool too
-    small to hold a larger clique, would store 2^k rows of 2^k bits.
+    small to hold a larger clique, would store 2^k rows of 2^k bits, in the
+    mapping or in the lists.
     """
-    calls = []
-    missing = search._Rows.__missing__
+    calls = _count_missing_rows(monkeypatch)
+    stores = []
+    positions = search._Rows.positions
 
-    def counting(rows, index):
-        calls.append(index)
-        return missing(rows, index)
+    def recording(rows, root):
+        stores.append(positions(rows, root))
+        return stores[-1]
 
-    monkeypatch.setattr(search._Rows, "__missing__", counting)
+    monkeypatch.setattr(search._Rows, "positions", recording)
     code, _ = search_code(SearchConfig(ring_graph(12), 0, 1))
     assert code.K == 1 << 12
     assert calls == []
+    assert stores == [([], [])]
 
 
 # runs one ring-18 r=0 d=3 search per budget, then prints its status and peak RSS in KiB
@@ -838,18 +902,40 @@ def test_budget_ending_in_the_lex_least_pass_flags_incomplete(monkeypatch):
     assert len(raised) == len(clique)
 
 
-def test_greedy_budget_stops_after_a_whole_restart(monkeypatch):
+def _first_restart(graph, seed):
+    """The members of greedy mode's first restart, in the order it adds them."""
+    order = list(range(len(graph)))
+    random.Random(seed).shuffle(order)
+    members = []
+    for v in order:
+        if all(v != u and v ^ u not in graph.forbidden for u in members):
+            members.append(v)
+    return members
+
+
+def test_greedy_budget_stops_at_the_member_that_reads_it_late(monkeypatch):
+    """Greedy mode reads the deadline before each restart and at each member a
+    restart adds; a restart cut at a member offers its clique so far, like a
+    finished one, and no restart starts after it."""
     graph = _ring_graph(9, 1, 3)
     config = SearchConfig(ring_graph(9), 1, 3, mode="greedy", seed=1, time_budget=1.0)
+    members = _first_restart(graph, 1)
+    whole = (sorted(u ^ min(members) for u in members), False)
     monkeypatch.setattr(search, "_GREEDY_RESTARTS", 1)
-    one_restart = find_max_clique(graph, config)
-    assert one_restart[1] is False
+    assert find_max_clique(graph, config._replace(time_budget=None)) == whole
     monkeypatch.setattr(search, "_GREEDY_RESTARTS", _GREEDY_RESTARTS)
-    assert one_restart != find_max_clique(graph, config)
-    # the deadline (0 + 1.0) passes after the first restart, then before the first
-    for readings in ((0.0, 0.0, 2.0), (0.0, 2.0)):
-        monkeypatch.setattr(search, "time", Clock(*readings))
-        assert find_max_clique(graph, config) == one_restart
+    assert find_max_clique(graph, config._replace(time_budget=None)) != whole
+    assert len(members) > 2
+    for j in range(1, len(members) + 1):
+        low = min(members[:j])
+        # the deadline (0 + 1.0) passes at member j of the first restart, after
+        # one reading before it; the last member empties the pool and reads none,
+        # so the restart ends whole and the next one does not start
+        monkeypatch.setattr(search, "time", Clock(0.0, *[0.0] * j, 2.0))
+        assert find_max_clique(graph, config) == (sorted(u ^ low for u in members[:j]), False)
+    # the deadline passes before the first restart, which still adds one member
+    monkeypatch.setattr(search, "time", Clock(0.0, 2.0))
+    assert find_max_clique(graph, config) == ([0], False)
 
 
 def test_budget_ending_in_the_root_coloring_returns_the_walk(monkeypatch):
