@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import chain, islice
 from math import comb
 from pathlib import Path
 
@@ -147,28 +148,38 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     if not 1 <= args.weight <= n:
         raise ValueError(f"--weight {args.weight} out of range for n={n}")
     _comment(args, f"induce {args.codefile}: errors of weight <= {args.weight}")
-    # Qubit q's induced bit sits at n-1-q, so binary digits print qubit 1 first.
-    # Above the n raw bits, one hex digit per qubit spells the error: X a, Z c,
-    # Y 6.  One table then turns label, raw and reduced strings into letters.
-    label_format, raw_format = f"0{n}x", f"0{n}b"
-    x_images, z_images = [], []
-    for q, (x, z) in enumerate(zip(*induced_images(code))):
-        label = n + 4 * (n - 1 - q)
-        x_images.append(int(format(x, raw_format)[::-1], 2) | 0xA << label)
-        z_images.append(int(format(z, raw_format)[::-1], 2) | 0xC << label)
-    raw_mask, pad, s = (1 << n) - 1, "0" * r, code.s
-    letters = str.maketrans("01ac6", "IZXZY")
+    # A line is one hex number, a digit per character: 3n + 15 of them.  Qubit
+    # q's X (Z) image holds a (c) at its label digit, so Y is 6, and a 1 at the
+    # raw digit of each qubit it induces, and at the reduced digit for qubits
+    # 1..s; gauge qubits reduce to 0.  An XOR of images keeps every digit 0/1
+    # or 0/a/c/6, the frame ORs in the rest with digits the images never use,
+    # and one 1:1 table spells every digit.
+    blank = "0" * n
+    spell = str.maketrans("CLAS ->\n", "234578bd")
+    frame = int(f"CLASS {blank} -> {blank} -> {blank}\n".translate(spell), 16)
+    letters = str.maketrans("01ac6234578bd", "IZXZYCLAS ->\n")
+    raw_format = f"0{n}b"
+
+    def image(q, bits, letter):
+        spread = int(format(bits, raw_format)[::-1], 16)  # a digit per qubit, qubit 1 first
+        return (letter << 4 * (3 * n + 8 - q) | spread << 4 * (n + 5)
+                | spread >> 4 * r << 4 * (r + 1))
+
+    x_bits, z_bits = induced_images(code)
+    x_images = [image(q, bits, 0xA) for q, bits in enumerate(x_bits)]
+    z_images = [image(q, bits, 0xC) for q, bits in enumerate(z_bits)]
+    reduced = 16 ** n - 1 << 4  # the reduced digits
     classes, count = set(), args.format == "text"  # only text prints the count
-    for w in range(1, args.weight + 1):
-        for _support, _offset, images in pauli_images(x_images, z_images, w):
-            if count:
-                classes.update((image & raw_mask) >> r for image in images)
-            lines = []
-            for image in images:
-                raw = format(image & raw_mask, raw_format)
-                lines.append(f"CLASS {format(image >> n, label_format)} -> {raw} -> "
-                             f"{raw[:s]}{pad}\n")
-            sys.stdout.write("".join(lines).translate(letters))
+    sweep = chain.from_iterable(
+        images for w in range(1, args.weight + 1)
+        for _support, _offset, images in pauli_images(x_images, z_images, w)
+    )
+    # batches of 256 lines: few calls per line, and a small heap at any weight
+    for batch in iter(lambda: list(islice(sweep, 256)), []):
+        if count:
+            classes.update(map(reduced.__and__, batch))
+        lines = map("%x".__mod__, map(frame.__or__, batch))
+        sys.stdout.write("".join(lines).translate(letters))
     _comment(args, f"{len(classes)} distinct reduced classes")
     return 0
 

@@ -73,6 +73,7 @@ __all__ = [
 ]
 
 _GREEDY_RESTARTS = 128
+_SHUFFLE_CHUNK = 1 << 16  # shuffle steps between two readings of the deadline
 _ROW_CACHE_BYTES = 64 << 20
 
 
@@ -391,24 +392,35 @@ def _exact_max_clique(
     return sorted(best), True
 
 
-def _shuffle(order: list[int], getrandbits: Callable[[int], int]) -> None:
+def _shuffle(
+    order: list[int], getrandbits: Callable[[int], int], deadline: float | None = None
+) -> bool:
     """random.Random.shuffle, drawing the same bits without a _randbelow per step.
 
     The stdlib's Fisher-Yates draws j below i + 1 as k = (i + 1).bit_length()
     random bits, drawn again while j > i.  Here k is held over each block of
     steps that share it, so the permutation and the generator's state after
-    it equal the stdlib's.
+    it equal the stdlib's.  The deadline is read after each chunk of
+    _SHUFFLE_CHUNK steps within a block, so a shuffle of at most that many
+    items never reads it; False means it had passed, leaving order part
+    shuffled.
     """
     i = len(order) - 1
     while i > 0:
         k = (i + 1).bit_length()
         stop = (1 << (k - 1)) - 2  # the block ends at i = 2^(k-1) - 1
+        chunk = i - stop >= _SHUFFLE_CHUNK
+        if chunk:
+            stop = i - _SHUFFLE_CHUNK
         for i in range(i, stop, -1):
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
             order[i], order[j] = order[j], order[i]
         i = stop
+        if chunk and deadline is not None and time.monotonic() > deadline:
+            return False
+    return True
 
 
 def _greedy_cliques(
@@ -422,7 +434,8 @@ def _greedy_cliques(
     for _ in range(_GREEDY_RESTARTS):
         if deadline is not None and time.monotonic() > deadline and best:
             break
-        _shuffle(order, getrandbits)
+        if not _shuffle(order, getrandbits, deadline):
+            return best or [0], False
         clique: list[int] = []
         pool = everything
         for v in order:
@@ -463,8 +476,8 @@ def find_max_clique(
     forbidden set, each as its k column images; the default is no group.
     Exact mode calls it once, when the raise first refutes a difference,
     and greedy mode never does.  The budget is checked once per color class,
-    or before each restart and at each member a restart adds; building the
-    group is bounded by its node limit instead.
+    or before each restart, after each 2^16 steps of its shuffle and at each
+    member it adds; building the group is bounded by its node limit instead.
     """
     deadline = None
     if config.time_budget is not None:

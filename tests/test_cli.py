@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from ocws import (
+    Graph,
     enumerate_paulis,
     format_pauli,
     gauge_reduce,
@@ -25,7 +26,9 @@ from ocws import (
 from ocws import cli, search
 from ocws.cli import main
 from ocws.oracle import check_dense_size
-from conftest import Clock, fixture_path, random_code, random_graph
+from conftest import (
+    FIXTURE_DIR, PERFBENCH, ROOT, Clock, fixture_path, random_code, random_graph
+)
 
 RING5_CLASS_LINES = """\
 CLASS XIIII -> IZIIZ -> IZIII
@@ -165,6 +168,41 @@ def test_induce_matches_per_pauli_reference(capsys, tmp_path):
     # wide codes: the bit reversal spans 12-16 qubits and the gauge padding 0 to n - 1
     for n, r in ((12, 0), (13, 5), (14, 13), (15, 7), (16, 0), (16, 15)):
         check(n, r, range(1, 3))
+
+
+def _check_induce(capsys, path, code, weights):
+    for weight in weights:
+        for fmt in ("text", "lines"):
+            status, out, _ = run(capsys, "induce", str(path), "--weight", str(weight),
+                                 "--format", fmt)
+            assert status == 0, (path, weight, fmt)
+            assert out == _reference_induce(code, path, weight, fmt), (path, weight, fmt)
+
+
+def test_induce_matches_per_pauli_reference_at_edge_widths(capsys, tmp_path):
+    rng = random.Random(1717)
+    path = tmp_path / "code.ocws"
+    # one isolated qubit: each line is 18 digits, and X induces nothing
+    for words in ((0,), (0, 1)):
+        code = new_code(Graph(1, (0,)), 0, words)
+        path.write_text(write_code_file(code))
+        _check_induce(capsys, path, code, [1])
+    codes = [random_code(rng, random_graph(rng, 2), r, 2) for r in (0, 1)]
+    # lines of 66-75 digits, with no gauge padding, a middle one and n - 1 gauge qubits
+    for n in range(17, 21):
+        for r in (0, n // 2, n - 1):
+            codes.append(random_code(rng, random_graph(rng, n), r, min(4, 1 << (n - r))))
+    for code in codes:
+        path.write_text(write_code_file(code))
+        _check_induce(capsys, path, code, range(1, 3))
+
+
+def test_induce_matches_per_pauli_reference_on_committed_codes(capsys):
+    paths = [path for folder in (FIXTURE_DIR, ROOT / "tests" / "data", PERFBENCH / "data")
+             for path in sorted(folder.glob("*.ocws"))]
+    assert len(paths) >= 20
+    for path in paths:
+        _check_induce(capsys, path, parse_code_file(path.read_text()), (1, 2))
 
 
 def test_search_ring9_emits_verifiable_code(capsys, tmp_path):

@@ -938,6 +938,46 @@ def test_greedy_budget_stops_at_the_member_that_reads_it_late(monkeypatch):
     assert find_max_clique(graph, config) == ([0], False)
 
 
+@pytest.mark.parametrize("m, reads, complete", [
+    (1 << 16, 0, True),  # 2^16 - 1 steps: no chunk fills, so no reading
+    ((1 << 18) + 5, 3, True),  # the k = 18 block is two chunks, the k = 17 block one
+    ((1 << 18) + 5, 2, False),
+    ((1 << 17) + 5, 0, False),
+])
+def test_shuffle_reads_the_deadline_after_each_chunk(monkeypatch, m, reads, complete):
+    """Readings before the deadline (1.0) passes; the next one reads 2.0.  A
+    shuffle that ends is random.shuffle's, steps and generator state alike."""
+    monkeypatch.setattr(search, "time", Clock(*[0.0] * reads, 2.0))
+    reference, rng = random.Random(7), random.Random(7)
+    expected, order = list(range(m)), list(range(m))
+    reference.shuffle(expected)
+    assert _shuffle(order, rng.getrandbits, 1.0) is complete
+    if complete:
+        assert order == expected
+        assert rng.getstate() == reference.getstate()
+
+
+def test_greedy_budget_stops_in_a_long_shuffle(monkeypatch):
+    """Past the deadline at the end of the first shuffle chunk, greedy mode
+    returns vertex 0 alone, before the first restart has drawn 2^k numbers."""
+    draws = 0
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            nonlocal draws
+            draws += 1
+            return super().getrandbits(k)
+
+    k = 17
+    graph = CompatibilityGraph(k, frozenset({1}))
+    config = SearchConfig(ring_graph(5), 2, 3, mode="greedy", seed=1, time_budget=1.0)
+    monkeypatch.setattr(search.random, "Random", Counting)
+    # the deadline (0 + 1.0) has not passed before the first restart
+    monkeypatch.setattr(search, "time", Clock(0.0, 0.0, 2.0))
+    assert find_max_clique(graph, config) == ([0], False)
+    assert 1 << 16 < draws < 1 << k
+
+
 def test_budget_ending_in_the_root_coloring_returns_the_walk(monkeypatch):
     graph = _ring_graph(9, 0, 3)
     walk = _reference_walk(_reference_rows(graph))
