@@ -36,15 +36,23 @@ class Graph(namedtuple("Graph", "n rows")):
         if len(rows) != n:
             raise ValueError(f"adjacency has {len(rows)} rows, expected {n}")
         mask = (1 << n) - 1
-        for i, row in enumerate(rows):
+        mirror = [0] * n  # mirror[j]: bit i for each row i < j that holds bit j
+        asymmetric = []  # per row j, the least i < j where rows i and j disagree
+        for j, row in enumerate(rows):
             if not 0 <= row <= mask:
-                raise ValueError(f"adjacency row {i + 1} out of range for n={n}")
-            if row >> i & 1:
-                raise ValueError(f"nonzero diagonal at ({i + 1},{i + 1})")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (rows[i] >> j & 1) != (rows[j] >> i & 1):
-                    raise ValueError(f"asymmetric at ({i + 1},{j + 1})")
+                raise ValueError(f"adjacency row {j + 1} out of range for n={n}")
+            if row >> j & 1:
+                raise ValueError(f"nonzero diagonal at ({j + 1},{j + 1})")
+            if diff := (row ^ mirror[j]) & ((1 << j) - 1):
+                asymmetric.append(((diff & -diff).bit_length() - 1, j))
+            row >>= j
+            while row:  # the set bits above the diagonal
+                low = row & -row
+                row ^= low
+                mirror[j + low.bit_length() - 1] |= 1 << j
+        if asymmetric:
+            i, j = min(asymmetric)
+            raise ValueError(f"asymmetric at ({i + 1},{j + 1})")
         return super().__new__(cls, n, rows)
 
 
@@ -68,15 +76,17 @@ def from_adjacency(rows: Sequence[Iterable[int | str]]) -> Graph:
     n = len(rows)
     masks = []
     for i, row in enumerate(rows):
-        entries = list(row)
-        for j, v in enumerate(entries):
-            if v not in (0, 1, "0", "1"):
-                raise ValueError(f"invalid adjacency entry {v!r} at ({i + 1},{j + 1})")
-        if len(entries) != n:
+        whole = isinstance(row, str) and not row.strip("01")  # a row of 0/1 characters
+        if not whole:  # scan entry by entry, to name the first bad one
+            row = list(row)
+            for j, v in enumerate(row):
+                if v not in (0, 1, "0", "1"):
+                    raise ValueError(f"invalid adjacency entry {v!r} at ({i + 1},{j + 1})")
+        if len(row) != n:
             raise ValueError(
-                f"non-square adjacency: row {i + 1} has {len(entries)} entries, expected {n}"
+                f"non-square adjacency: row {i + 1} has {len(row)} entries, expected {n}"
             )
-        masks.append(sum(int(v) << j for j, v in enumerate(entries)))
+        masks.append(int(row[::-1], 2) if whole else sum(int(v) << j for j, v in enumerate(row)))
     return Graph(n, tuple(masks))
 
 

@@ -8,16 +8,15 @@ code space exactly like a Z-type operator whose bit-vector is
 Reducing that vector modulo the Z-type gauge generators (clearing the last
 r bits) yields the effective classical error the words must discriminate.
 Both maps are GF(2)-linear: pauli_images sweeps Paulis as XORs of per-qubit
-images, image_positions picks out the images in a key set, and pauli_at
-rebuilds one operator only when it is needed.
+images, each support's list extending the list of its prefix (the support
+less its last qubit), image_positions picks out the images in a key set,
+and pauli_at rebuilds one operator only when it is needed.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from functools import reduce
-from operator import xor
 
 from .code import OcwsCode, _combine
 from .pauli import PauliOperator
@@ -67,6 +66,20 @@ def _letters(x: int, z: int) -> tuple[int, int, int]:
     return x, x ^ z, z
 
 
+def _tails(letters, head: tuple[int, ...], stop: int, m: int):
+    """(head + tail, images of tail) for the m-qubit tails past head and below stop.
+
+    Tails run in combinations order.  Each list extends its prefix's list, which
+    the same sweep to stop - 1 builds once for every tail that shares it.
+    """
+    if not m:
+        yield head, [0]
+        return
+    for qubits, shared in _tails(letters, head, stop - 1, m - 1):
+        for q in range(qubits[-1] + 1 if qubits else 0, stop):
+            yield qubits + (q,), [t ^ a for t in shared for a in letters[q]]
+
+
 def pauli_images(x_images: list[int], z_images: list[int], w: int):
     """Images of the weight-w Paulis under a GF(2)-linear map, in canonical order.
 
@@ -75,13 +88,15 @@ def pauli_images(x_images: list[int], z_images: list[int], w: int):
     the support and spans the letters of its last min(w, 6) qubits.
     """
     letters = [_letters(x, z) for x, z in zip(x_images, z_images)]
-    for support in itertools.combinations(range(len(letters)), w):
-        tail = [0]
-        for q in support[-_TAIL:]:
-            tail = [t ^ image for t in tail for image in letters[q]]
-        for i, choice in enumerate(itertools.product(*(letters[q] for q in support[:-_TAIL]))):
-            prefix = reduce(xor, choice, 0)
-            yield support, i * len(tail), [prefix ^ t for t in tail] if prefix else tail
+    m = min(max(w, 0), _TAIL)  # so that combinations rejects a negative w
+    for head in itertools.combinations(range(len(letters) - m), w - m):
+        prefixes = [0]
+        for q in head:
+            prefixes = [p ^ a for p in prefixes for a in letters[q]]
+        chunks = [(i * 3**m, prefix) for i, prefix in enumerate(prefixes)]
+        for support, images in _tails(letters, head, len(letters), m):
+            for offset, prefix in chunks:
+                yield support, offset, [prefix ^ t for t in images] if prefix else images
 
 
 def pauli_at(n: int, support: tuple[int, ...], index: int) -> PauliOperator:

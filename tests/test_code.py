@@ -230,6 +230,21 @@ def test_code_file_adjacency_block():
     assert parse_code_file(late_r) == new_code(ring_graph(3), 1, (0,))
 
 
+def test_code_file_adjacency_block_messages():
+    head = "n = 3\nr = 0\ngraph = adjacency:\n"
+    for block, message in (
+        ("0 1 1\n101\n110\n", "invalid adjacency entry ' ' at (1,2)"),
+        ("011\n201\n110\n", "invalid adjacency entry '2' at (2,1)"),
+        ("011\n101\n11x\n", "invalid adjacency entry 'x' at (3,3)"),
+        ("0110\n101\n110\n", "non-square adjacency: row 1 has 4 entries, expected 3"),
+        ("011\n10\n110\n", "non-square adjacency: row 2 has 2 entries, expected 3"),
+        ("011\n100\n110\n", "asymmetric at (2,3)"),
+    ):
+        with pytest.raises(CodeFileError) as info:
+            parse_code_file(head + block + "word = 000\n")
+        assert str(info.value) == "bad adjacency block: " + message
+
+
 def test_code_file_errors():
     with pytest.raises(CodeFileError, match="missing required key 'n'"):
         parse_code_file("r = 1\n")

@@ -1,5 +1,6 @@
 """Graph model, stabilizer generators and block-keeping automorphisms."""
 
+import random
 import time
 
 import pytest
@@ -50,6 +51,53 @@ def test_graph_rejects_asymmetry():
         Graph(3, (0b010, 0b000, 0b000))
 
 
+def test_graph_rejects_asymmetry_below_the_diagonal():
+    # row 2 holds bit 1, row 1 lacks bit 2
+    with pytest.raises(ValueError) as info:
+        Graph(3, (0b000, 0b001, 0b000))
+    assert str(info.value) == "asymmetric at (1,2)"
+
+
+def test_graph_names_the_first_asymmetric_pair_in_row_major_order():
+    # (2,3) is found from row 2, above the diagonal; (1,4) only from row 4,
+    # below it, and comes first in row-major order
+    with pytest.raises(ValueError) as info:
+        Graph(4, (0b0000, 0b0100, 0b0000, 0b0001))
+    assert str(info.value) == "asymmetric at (1,4)"
+
+
+def _first_asymmetric(rows):
+    """The least (i, j), i < j, 1-based, whose two entries differ: the pair scan."""
+    n = len(rows)
+    return next(
+        (i + 1, j + 1)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (rows[i] >> j & 1) != (rows[j] >> i & 1)
+    )
+
+
+def test_graph_asymmetry_message_matches_the_pair_scan():
+    rng = random.Random(27)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(n), 2)
+            rows[i] ^= 1 << j
+        if all((rows[i] >> j & 1) == (rows[j] >> i & 1) for i in range(n) for j in range(n)):
+            assert Graph(n, tuple(rows)).rows == tuple(rows)
+            continue
+        with pytest.raises(ValueError) as info:
+            Graph(n, tuple(rows))
+        assert str(info.value) == "asymmetric at (%d,%d)" % _first_asymmetric(rows)
+
+
 def test_graph_rejects_bad_size_and_rows():
     for n, rows, message in (
         (0, (), "graph needs at least one vertex, got n=0"),
@@ -85,6 +133,43 @@ def test_from_adjacency_rejects_bad_entry():
         from_adjacency([[0, 1, 0], [1, 0, 2], [0, 1, 0]])
     with pytest.raises(ValueError, match=r"entry 'a' at \(1,2\)"):
         from_adjacency(["0a1", "101", "110"])
+
+
+def test_from_adjacency_row_forms_agree():
+    """String rows, lists of "0"/"1" and lists of 0/1 ints give the same graph."""
+    rng = random.Random(16)
+    for _ in range(50):
+        n = rng.randint(1, 16)
+        density = rng.random()
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = int(rng.random() < density)
+        want = Graph(n, tuple(sum(v << j for j, v in enumerate(row)) for row in matrix))
+        assert from_adjacency(["".join(map(str, row)) for row in matrix]) == want
+        assert from_adjacency([[str(v) for v in row] for row in matrix]) == want
+        assert from_adjacency(matrix) == want
+        assert from_adjacency([tuple(row) for row in matrix]) == want
+
+
+def test_from_adjacency_messages():
+    for rows, message in (
+        (["0a1", "101", "110"], "invalid adjacency entry 'a' at (1,2)"),
+        (["011", "10x", "110"], "invalid adjacency entry 'x' at (2,3)"),
+        (["011", "101", "11 "], "invalid adjacency entry ' ' at (3,3)"),
+        # the entries are checked before the length: the bad last entry is named
+        (["0112", "101", "110"], "invalid adjacency entry '2' at (1,4)"),
+        (["01", "101", "110"], "non-square adjacency: row 1 has 2 entries, expected 3"),
+        (["011", "101", "1100"], "non-square adjacency: row 3 has 4 entries, expected 3"),
+        (["011", "", "110"], "non-square adjacency: row 2 has 0 entries, expected 3"),
+        ([[0, 1, 1], [1, 0, 2], [1, 1, 0]], "invalid adjacency entry 2 at (2,3)"),
+        ([[0, 1, 1], [1, 0], [1, 1, 0]], "non-square adjacency: row 2 has 2 entries, expected 3"),
+        (["011", "100", "110"], "asymmetric at (2,3)"),
+        (["111", "101", "110"], "nonzero diagonal at (1,1)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            from_adjacency(rows)
+        assert str(info.value) == message, rows
 
 
 def test_stabilizer_generator_is_x_at_vertex_z_on_neighbors():

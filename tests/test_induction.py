@@ -6,6 +6,7 @@ reproduce byte for byte.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -193,6 +194,40 @@ def test_pauli_images_follow_the_canonical_order(n, w):
     paulis = [e for e, _ in rebuilt]
     assert paulis == list(paulis_of_weight(n, w)) == list(_reference_paulis(n, w))
     assert all(v == (e.x << n) | e.z for e, v in rebuilt)
+
+
+def _fresh_images(n, x_images, z_images, support, index):
+    """The image of the Pauli at a position, rebuilt from its own letters."""
+    e = pauli_at(n, support, index)
+    image = 0
+    for q in range(n):
+        image ^= (x_images[q] if e.x >> q & 1 else 0) ^ (z_images[q] if e.z >> q & 1 else 0)
+    return e, image
+
+
+def test_pauli_images_lists_stand_alone():
+    """Every list of a finished sweep still holds its own support's images.
+
+    The sweep is materialized first, so a list that shares storage with its
+    prefix's list, or that a later support changed, would fail here; n = 9
+    at every weight runs the supports wider than one list (w = 7, 8, 9).
+    """
+    rng = random.Random(27)
+    cases = [(9, w, [1 << (q + 9) for q in range(9)], [1 << q for q in range(9)])
+             for w in range(10)]
+    cases.append((12, 3, [rng.getrandbits(12) for _ in range(12)],
+                  [rng.getrandbits(12) for _ in range(12)]))
+    for n, w, x_images, z_images in cases:
+        sweep = list(pauli_images(x_images, z_images, w))
+        paulis = []
+        for support, offset, images in sweep:
+            for i, v in enumerate(images, offset):
+                e, image = _fresh_images(n, x_images, z_images, support, i)
+                assert v == image, (n, w, support, i)
+                paulis.append(e)
+        if n == 9:
+            assert paulis == list(paulis_of_weight(n, w))
+        assert len(paulis) == len(set(paulis)) == 3**w * math.comb(n, w)
 
 
 def _image_codes():
