@@ -15,6 +15,7 @@ built straight from the graph rows by _gauge_basis wherever it is read.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .graph import Graph, adjacency_lines, from_adjacency, ring_graph, stabilizer_generator
 from .pauli import PauliOperator, format_bits, parse_bits, parse_zstring
@@ -115,14 +116,18 @@ class GaugeGroup(namedtuple("GaugeGroup", "generators labels")):
 
 
 class OcwsCode(namedtuple("OcwsCode", "graph r words claimed_distance")):
-    """A code instance; use new_code() or parse_code_file() to build one."""
+    """A validated code; errors name the offending word or position.
+
+    new_code is this class under another name.  words is stored as a tuple.
+    """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
 
     def __new__(
-        cls, graph: Graph, r: int, words: tuple[int, ...], claimed_distance: int | None = None
+        cls, graph: Graph, r: int, words: Iterable[int], claimed_distance: int | None = None
     ) -> OcwsCode:
+        words = tuple(words)
         n = graph.n
         if not 0 <= r < n:
             raise ValueError(f"gauge count r={r} out of range for n={n}")
@@ -166,18 +171,11 @@ class OcwsCode(namedtuple("OcwsCode", "graph r words claimed_distance")):
         return PauliOperator(self.n, z=self.words[index])
 
 
+new_code = OcwsCode
+
+
 def _symplectic_vector(p: PauliOperator) -> int:
     return (p.x << p.n) | p.z
-
-
-def new_code(
-    graph: Graph,
-    r: int,
-    words: tuple[int, ...] | list[int],
-    claimed_distance: int | None = None,
-) -> OcwsCode:
-    """Validate and build a code; errors name the offending word or position."""
-    return OcwsCode(graph, r, tuple(words), claimed_distance)
 
 
 def _gauge_labels(code: OcwsCode) -> tuple[str, ...]:
@@ -217,7 +215,7 @@ def _gauge_product(code: OcwsCode, combo: int) -> str:
     return "*".join(g for k, g in enumerate(_gauge_labels(code)) if combo >> k & 1) or "identity"
 
 
-# the integer keys, each with its message for a value below 1; new_code checks r
+# the integer keys, each with its message for a value below 1; OcwsCode checks r
 _INT_KEYS = {
     "n": "n must be >= 1, got {}",
     "r": None,
@@ -293,7 +291,7 @@ def parse_code_file(text: str) -> OcwsCode:
         if key not in seen:
             raise CodeFileError(f"missing required key {key!r}")
     try:
-        return new_code(graph, ints["r"], tuple(words), ints.get("distance"))
+        return OcwsCode(graph, ints["r"], words, ints.get("distance"))
     except ValueError as exc:
         raise CodeFileError(str(exc)) from exc
 

@@ -30,29 +30,22 @@ class Graph(namedtuple("Graph", "n rows")):
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs __new__
 
-    def __new__(cls, n: int, rows: tuple[int, ...]) -> Graph:
+    def __new__(cls, n: int, rows: Iterable[int]) -> Graph:
+        rows = tuple(rows)
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         if len(rows) != n:
             raise ValueError(f"adjacency has {len(rows)} rows, expected {n}")
         mask = (1 << n) - 1
-        mirror = [0] * n  # mirror[j]: bit i for each row i < j that holds bit j
-        asymmetric = []  # per row j, the least i < j where rows i and j disagree
-        for j, row in enumerate(rows):
+        for i, row in enumerate(rows):
             if not 0 <= row <= mask:
-                raise ValueError(f"adjacency row {j + 1} out of range for n={n}")
-            if row >> j & 1:
-                raise ValueError(f"nonzero diagonal at ({j + 1},{j + 1})")
-            if diff := (row ^ mirror[j]) & ((1 << j) - 1):
-                asymmetric.append(((diff & -diff).bit_length() - 1, j))
-            row >>= j
-            while row:  # the set bits above the diagonal
-                low = row & -row
-                row ^= low
-                mirror[j + low.bit_length() - 1] |= 1 << j
-        if asymmetric:
-            i, j = min(asymmetric)
-            raise ValueError(f"asymmetric at ({i + 1},{j + 1})")
+                raise ValueError(f"adjacency row {i + 1} out of range for n={n}")
+            if row >> i & 1:
+                raise ValueError(f"nonzero diagonal at ({i + 1},{i + 1})")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (rows[i] >> j & 1) != (rows[j] >> i & 1):
+                    raise ValueError(f"asymmetric at ({i + 1},{j + 1})")
         return super().__new__(cls, n, rows)
 
 
@@ -60,10 +53,7 @@ def ring_graph(n: int) -> Graph:
     """Cycle graph 1-2-...-n-1; requires n >= 3."""
     if n < 3:
         raise ValueError(f"ring graph needs n >= 3, got n={n}")
-    rows = tuple(
-        (1 << ((i - 1) % n)) | (1 << ((i + 1) % n)) for i in range(n)
-    )
-    return Graph(n, rows)
+    return Graph(n, ((1 << ((i - 1) % n)) | (1 << ((i + 1) % n)) for i in range(n)))
 
 
 def from_adjacency(rows: Sequence[Iterable[int | str]]) -> Graph:
@@ -87,7 +77,7 @@ def from_adjacency(rows: Sequence[Iterable[int | str]]) -> Graph:
                 f"non-square adjacency: row {i + 1} has {len(row)} entries, expected {n}"
             )
         masks.append(int(row[::-1], 2) if whole else sum(int(v) << j for j, v in enumerate(row)))
-    return Graph(n, tuple(masks))
+    return Graph(n, masks)
 
 
 def stabilizer_generator(graph: Graph, i: int) -> PauliOperator:

@@ -53,9 +53,9 @@ import random
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
-from .code import OcwsCode, _GF2Basis, _combine, new_code
+from .code import OcwsCode, _GF2Basis, _combine
 from .graph import Graph, _orbit_of, automorphism_generators
 # enumerate_paulis, induced_error_set, certify_distance and corrects_weight
 # stay bound here for perfbench/spans.py
@@ -134,15 +134,18 @@ def forbidden_differences(code_skeleton: OcwsCode, max_error_weight: int) -> fro
 
     A candidate pair whose XOR difference lands in this set is confusable
     by some error of that weight, so cliques avoiding it have certified
-    distance > max_error_weight.
+    distance > max_error_weight.  The sweep stops once the set is the whole
+    word space.
     """
     if not 0 <= max_error_weight <= code_skeleton.n:
         raise ValueError(f"max error weight {max_error_weight} out of range 0..{code_skeleton.n}")
     images = induced_images(code_skeleton, (1 << code_skeleton.s) - 1)
-    found: set[int] = set()
-    for w in range(1, max_error_weight + 1):
-        for _support, _offset, errors in pauli_images(*images, w):
-            found.update(errors)
+    sweep = (c for w in range(1, max_error_weight + 1) for c in pauli_images(*images, w))
+    found = {0}
+    for _support, _offset, errors in sweep:
+        found.update(errors)
+        if len(found) >> code_skeleton.s:  # all 2^s vectors: no later error adds one
+            break
     return frozenset(found - {0})
 
 
@@ -157,6 +160,9 @@ class CompatibilityGraph(namedtuple("CompatibilityGraph", "k forbidden")):
     __slots__ = ()
     # namedtuple's own _make checks len() against the field count
     _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, k: int, forbidden: Iterable[int]) -> CompatibilityGraph:
+        return super().__new__(cls, k, frozenset(forbidden))
 
     def __len__(self) -> int:
         return 1 << self.k
@@ -536,14 +542,14 @@ def _compatibility(
     config: SearchConfig,
 ) -> tuple[CompatibilityGraph, Callable[[], list[tuple[int, ...]]], list[int]]:
     """The parity kernel's Cayley graph in coordinates, a call building its group, the basis."""
-    skeleton = new_code(config.graph, config.r, (0,))
+    skeleton = OcwsCode(config.graph, config.r, (0,))
     forbidden = forbidden_differences(skeleton, config.target_distance - 1)
     basis = _parity_kernel(skeleton, (config.target_distance - 1) // 2)
     coordinates = _GF2Basis()
     for i, row in enumerate(basis):
         coordinates.add(row, 1 << i)
     in_kernel = (coordinates.decompose(f) for f in forbidden)
-    graph = CompatibilityGraph(len(basis), frozenset(a for a in in_kernel if a is not None))
+    graph = CompatibilityGraph(len(basis), (a for a in in_kernel if a is not None))
     return graph, lambda: _kernel_maps(config.graph, config.s, basis, coordinates), basis
 
 
@@ -564,7 +570,7 @@ def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:
             best_k=k,
         )
     words = [_combine(basis, a) for a in clique]
-    code = new_code(config.graph, config.r, tuple(words))
+    code = OcwsCode(config.graph, config.r, words)
     result = analyze(code, t)
     if result.distance < config.target_distance or result.degenerate is not None:
         raise SearchError(
@@ -572,4 +578,4 @@ def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:
             f"{config.target_distance}",
             best_k=k,
         )
-    return new_code(config.graph, config.r, tuple(words), result.distance), complete
+    return code._replace(claimed_distance=result.distance), complete

@@ -260,6 +260,14 @@ def test_search_output_is_byte_stable(capsys):
     assert out1 == out2
 
 
+def test_search_whose_forbidden_set_fills_prints_the_single_word_code(capsys):
+    """Ring-14 r=0 fills its forbidden set below weight 7, where the sweep stops."""
+    argv = ["search", "--graph", "ring", "--n", "14", "--r", "0", "--distance", "8"]
+    body = "n = 14\nr = 0\ngraph = ring\ndistance = 15\nword = 00000000000000\n"
+    for fmt in ("text", "lines"):
+        assert run(capsys, *argv, "--format", fmt) == (0, "CODE n=14 r=0 K=1 d=15\n" + body, "")
+
+
 def test_budget_cut_search_says_its_k_is_unproven(capsys, monkeypatch):
     argv = ["search", "--graph", "ring", "--n", "9", "--r", "0", "--distance", "3",
             "--budget", "1"]

@@ -234,6 +234,20 @@ def test_code_with_its_gauge_group_survives_copy_and_pickle():
         assert ocws.certify_distance(again) == 1
 
 
+def test_record_built_from_a_list_or_set_is_the_record_built_from_a_tuple():
+    """Each record's constructor stores its collection field as a tuple or frozenset."""
+    for record, field, value in (
+        (Graph(3, (6, 5, 3)), "rows", [6, 5, 3]),
+        (OcwsCode(_RING, 1, (0, 3)), "words", [0, 3]),
+        (CompatibilityGraph(3, frozenset({1, 6})), "forbidden", {1, 6}),
+    ):
+        loose = type(record)(**{**record._asdict(), field: value})
+        assert type(getattr(loose, field)) is type(getattr(record, field))
+        for again in (loose, record._replace(**{field: value}), _pickled(loose)):
+            assert again == record and hash(again) == hash(record)
+    assert ocws.new_code is OcwsCode
+
+
 def test_compatibility_graph_copies_without_a_tuple_of_its_vertex_count():
     """len() is the 2^k vertex count, so copies and pickles rebuild from k and forbidden."""
     assert len(CompatibilityGraph(3, frozenset({1, 6}))) == 8

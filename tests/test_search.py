@@ -30,6 +30,7 @@ from ocws import (
     write_code_file,
 )
 from ocws import search
+from ocws.induction import induced_images, pauli_images
 from ocws.search import _GREEDY_RESTARTS, _parity_kernel, _shuffle
 from conftest import (
     WORDS_8_1,
@@ -136,6 +137,38 @@ def test_forbidden_differences_equal_the_per_pauli_classes():
     for w in (-1, 6):
         with pytest.raises(ValueError, match="out of range"):
             forbidden_differences(_skeleton(5, 1), w)
+
+
+def test_forbidden_differences_stopped_when_full_equal_the_per_pauli_classes():
+    """Rings n = 6..9 fill their word space at weight 2 to 4, past which the sweep stops."""
+    filled = []
+    for n, r, w in itertools.product(range(6, 10), range(3), range(1, 5)):
+        skel = _skeleton(n, r)
+        forbidden = forbidden_differences(skel, w)
+        assert forbidden == {c.bits for c in induced_error_set(skel, w)} - {0}, (n, r, w)
+        filled.append(len(forbidden) == (1 << skel.s) - 1)
+    assert any(filled) and not all(filled)
+
+
+def test_forbidden_sweep_draws_no_list_past_the_one_that_fills_the_set(monkeypatch):
+    drawn = []
+
+    def recording(*args):
+        for chunk in pauli_images(*args):
+            drawn.append(chunk[2])
+            yield chunk
+
+    monkeypatch.setattr(search, "pauli_images", recording)
+    skel = _skeleton(8, 0)  # full at weight 4
+    assert forbidden_differences(skel, 6) == frozenset(range(1, 1 << 8))
+    seen = {0}
+    for count, images in enumerate(drawn, start=1):
+        seen.update(images)
+        if len(seen) == 1 << 8:
+            break
+    assert count == len(drawn) and len(seen) == 1 << 8
+    images = induced_images(skel, (1 << 8) - 1)
+    assert count < sum(1 for w in range(1, 5) for _ in pauli_images(*images, w))
 
 
 def test_max_clique_on_complete_graph():
