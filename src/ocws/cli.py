@@ -153,22 +153,27 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     # raw digit of each qubit it induces, and at the reduced digit for qubits
     # 1..s; gauge qubits reduce to 0.  An XOR of images keeps every digit 0/1
     # or 0/a/c/6, the frame ORs in the rest with digits the images never use,
-    # and one 1:1 table spells every digit.
+    # and one 1:1 table spells every digit.  A batch is rendered as bytes: each
+    # number's to_bytes, one join, one hex().  An odd digit count (n even)
+    # drops the newline digit from the number: hex() writes "\n" as its
+    # separator between lines, and one more ends the batch.
+    digits = 3 * n + 15
+    cut, size = 4 * (digits % 2), digits // 2
     blank = "0" * n
     spell = str.maketrans("CLAS ->\n", "234578bd")
-    frame = int(f"CLASS {blank} -> {blank} -> {blank}\n".translate(spell), 16)
+    frame = int(f"CLASS {blank} -> {blank} -> {blank}\n".translate(spell), 16) >> cut
     letters = str.maketrans("01ac6234578bd", "IZXZYCLAS ->\n")
     raw_format = f"0{n}b"
 
     def image(q, bits, letter):
         spread = int(format(bits, raw_format)[::-1], 16)  # a digit per qubit, qubit 1 first
         return (letter << 4 * (3 * n + 8 - q) | spread << 4 * (n + 5)
-                | spread >> 4 * r << 4 * (r + 1))
+                | spread >> 4 * r << 4 * (r + 1)) >> cut
 
     x_bits, z_bits = induced_images(code)
     x_images = [image(q, bits, 0xA) for q, bits in enumerate(x_bits)]
     z_images = [image(q, bits, 0xC) for q, bits in enumerate(z_bits)]
-    reduced = 16 ** n - 1 << 4  # the reduced digits
+    reduced = 16 ** n - 1 << 4 >> cut  # the reduced digits
     classes, count = set(), args.format == "text"  # only text prints the count
     sweep = chain.from_iterable(
         images for w in range(1, args.weight + 1)
@@ -178,8 +183,9 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     for batch in iter(lambda: list(islice(sweep, 256)), []):
         if count:
             classes.update(map(reduced.__and__, batch))
-        lines = map("%x".__mod__, map(frame.__or__, batch))
-        sys.stdout.write("".join(lines).translate(letters))
+        data = b"".join([(frame | v).to_bytes(size, "big") for v in batch])
+        text = data.hex("\n", size) + "\n" if cut else data.hex()
+        sys.stdout.write(text.translate(letters))
     _comment(args, f"{len(classes)} distinct reduced classes")
     return 0
 

@@ -304,6 +304,10 @@ def _parse_int(value: str, lineno: int, key: str) -> int:
 
 
 def _parse_word(value: str, n: int, lineno: int) -> int:
+    # a whole 0/1 word in one int(); the guard keeps out the "_", "0b", signs
+    # and spaces that int() also takes, so they fail below with their messages
+    if len(value) == n and not value.strip("01"):
+        return int(value[::-1], 2)
     chars = set(value)
     try:
         if chars <= {"0", "1"}:

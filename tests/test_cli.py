@@ -197,6 +197,17 @@ def test_induce_matches_per_pauli_reference_at_edge_widths(capsys, tmp_path):
         _check_induce(capsys, path, code, range(1, 3))
 
 
+def test_induce_matches_per_pauli_reference_at_batch_edges(capsys, tmp_path):
+    # lines go out in batches of 256: ring-85 has 255 lines of 270 digits, one
+    # partial batch of whole bytes; ring-86 has 258 lines of 273 digits, two
+    # batches with the newline put back between lines
+    path = tmp_path / "code.ocws"
+    for n in (85, 86):
+        code = new_code(ring_graph(n), 0, (0, 1))
+        path.write_text(write_code_file(code))
+        _check_induce(capsys, path, code, [1])
+
+
 def test_induce_matches_per_pauli_reference_on_committed_codes(capsys):
     paths = [path for folder in (FIXTURE_DIR, ROOT / "tests" / "data", PERFBENCH / "data")
              for path in sorted(folder.glob("*.ocws"))]

@@ -23,7 +23,7 @@ from ocws import (
     write_code_file,
 )
 from ocws.code import _GF2Basis, _gauge_basis, _symplectic_vector
-from conftest import bits, random_code, random_graph
+from conftest import PERFBENCH, bits, random_code, random_graph
 
 
 def test_basic_properties(code_8_1_1_3):
@@ -295,6 +295,37 @@ def test_code_file_errors():
         with pytest.raises(CodeFileError) as info:
             parse_code_file(text)
         assert str(info.value) == message, text
+
+
+def test_word_values_outside_the_file_format_keep_their_messages():
+    # int(_, 2) would take some of these, reversed or not: each must fail as before
+    head = "n = 5\nr = 0\ngraph = ring\nword = "
+    neither = "line 4: word {!r} is neither a bit string nor an I/Z string"
+    for value, message in (
+        ("0_101", neither), ("101_0", neither),
+        ("+0101", neither), ("0101+", neither), ("-0101", neither),
+        ("0b101", neither), ("101b0", neither),
+        ("01201", neither), ("0Z101", neither), ("0 101", neither),
+        ("0101", "line 4: word '0101' has length 4, expected 5"),
+        ("010110", "line 4: word '010110' has length 6, expected 5"),
+        ("IZI", "line 4: word 'IZI' has length 3, expected 5"),
+    ):
+        with pytest.raises(CodeFileError) as info:
+            parse_code_file(head + value + "\n")
+        assert str(info.value) == message.format(value), value
+    # whole words, 0/1 and I/Z alike, qubit 1 leftmost
+    for value, word in (("00000", 0), ("10000", 1), ("01101", 0b10110), ("11111", 31),
+                        ("IIIII", 0), ("ZIIIZ", 0b10001), ("IZZIZ", 0b10110)):
+        assert parse_code_file(head + value + "\n").words == (word,), value
+
+
+def test_k216_code_file_words_match_a_per_character_parse():
+    text = (PERFBENCH / "data" / "ring16_r1_d3_greedy.ocws").read_text()
+    values = [line.split("=", 1)[1].strip() for line in text.splitlines()
+              if line.startswith("word")]
+    reference = [sum(1 << i for i, char in enumerate(value) if char == "1") for value in values]
+    assert len(reference) == 216
+    assert list(parse_code_file(text).words) == reference
 
 
 def test_fixture_files_parse(code_8_1_1_3, code_9_3_1_3, code_9_4_1_3, code_ring5_r2):

@@ -6,6 +6,7 @@ records are named tuples, so no command imports `dataclasses`, and only
 numpy brings in `inspect`.
 """
 
+import ast
 import copy
 import json
 import os
@@ -306,3 +307,18 @@ def test_record_validation_messages(cls, args, message):
     with pytest.raises(ValueError) as exc:
         cls(*args)
     assert str(exc.value) == message
+
+
+def test_every_to_bytes_and_from_bytes_call_names_its_byteorder():
+    # the byteorder default ("big") is new in Python 3.11, and 3.10 is supported
+    calls = [
+        (path.name, node)
+        for path in sorted((ROOT / "src" / "ocws").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("to_bytes", "from_bytes")
+    ]
+    assert calls  # the induce renderer has one
+    unnamed = [(name, node.lineno) for name, node in calls
+               if len(node.args) < 2 and all(kw.arg != "byteorder" for kw in node.keywords)]
+    assert unnamed == []
