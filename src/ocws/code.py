@@ -8,8 +8,11 @@ The gauge group is generated by S_1..S_n together with g_j = Z_{s+j}.
 
 OcwsCode is the named tuple ``(graph, r, words, claimed_distance)`` and
 GaugeGroup the named tuple ``(generators, labels)``; both are their fields
-and nothing more.  The gauge group is read as one symplectic GF(2) basis,
-built straight from the graph rows by _gauge_basis wherever it is read.
+and nothing more.  The generators are already a reduced echelon basis: only
+S_q has X on qubit q and only g_j has Z on qubit s + j.  So a Pauli's gauge
+residue is its induced error z xor (the rows at its X support) on qubits
+1..s, and the generators taken off are S_q at each X and g_j at each gauge
+bit of that induced error; _gauge_residue reads both off.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class _GF2Basis:
     bits of a vector alone name the rows that reduce it, each once.  Each
     stored row remembers which original generators combine to it, so
     membership tests can also produce a decomposition witness.  This is the
-    package's one GF(2) elimination: the gauge group, the search's parity
-    constraints and its kernel coordinates all use it.
+    package's one GF(2) elimination: the search's parity constraints and
+    kernel coordinates and verify's span of word differences use it.
     """
 
     def __init__(self) -> None:
@@ -78,16 +81,8 @@ class _GF2Basis:
         residue, combo = self.reduce(vector)
         return combo if residue == 0 else None
 
-    def canonical(self, vector: int) -> int:
-        """Unique coset representative with zeros at every pivot position.
-
-        The map is GF(2)-linear, so two vectors differ by a span element
-        exactly when their canonical forms are equal.
-        """
-        return self.reduce(vector)[0]
-
     def reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
-        """The canonical form, and combo XOR the combination of the rows taken off."""
+        """The residue clear of every pivot, and combo XOR the combination of the rows taken off."""
         # a row changes no pivot bit but its own, so the hits are fixed up front
         hits = vector & self._pivots
         while hits:
@@ -174,25 +169,17 @@ class OcwsCode(namedtuple("OcwsCode", "graph r words claimed_distance")):
 new_code = OcwsCode
 
 
-def _symplectic_vector(p: PauliOperator) -> int:
-    return (p.x << p.n) | p.z
-
-
 def _gauge_labels(code: OcwsCode) -> tuple[str, ...]:
     """S1..Sn, g1..gr: entry k labels generator k."""
     return (*(f"S{i}" for i in range(1, code.n + 1)), *(f"g{j}" for j in range(1, code.r + 1)))
 
 
-def _gauge_basis(code: OcwsCode) -> _GF2Basis:
-    """The gauge group's symplectic GF(2) basis; combo bit k stands for generator k."""
-    n, s = code.n, code.s
-    basis = _GF2Basis()
-    vectors = [1 << (q + n) | row for q, row in enumerate(code.graph.rows)]
-    for k, vector in enumerate(vectors + [1 << (s + j) for j in range(code.r)]):
-        basis.add(vector, 1 << k)
-    if basis.rank != n + code.r:
-        raise ValueError("gauge generators are not independent")
-    return basis
+def _gauge_residue(code: OcwsCode, p: PauliOperator) -> tuple[int, int]:
+    """p's gauge residue, and the generators taken off as combo bits (bit k: generator k)."""
+    if p.n != code.n:
+        raise ValueError(f"operator length {p.n} does not match code n={code.n}")
+    raw = p.z ^ _combine(code.graph.rows, p.x)
+    return raw & ((1 << code.s) - 1), p.x | raw >> code.s << code.n
 
 
 def gauge_generators(code: OcwsCode) -> GaugeGroup:
@@ -204,10 +191,8 @@ def gauge_generators(code: OcwsCode) -> GaugeGroup:
 
 def gauge_decomposition(code: OcwsCode, p: PauliOperator) -> str | None:
     """Generator product equal to p up to phase (e.g. ``"S7*g1"``), or None."""
-    if p.n != code.n:
-        raise ValueError(f"operator length {p.n} does not match code n={code.n}")
-    combo = _gauge_basis(code).decompose(_symplectic_vector(p))
-    return None if combo is None else _gauge_product(code, combo)
+    residue, combo = _gauge_residue(code, p)
+    return None if residue else _gauge_product(code, combo)
 
 
 def _gauge_product(code: OcwsCode, combo: int) -> str:

@@ -9,26 +9,25 @@ with sign (-1)^(x . c), so it acts alike exactly when it commutes with
 every word operator; one that anticommutes with a word blocks correction.
 
 Two independent routes are provided.  The operator route is one sweep,
-analyze(), over the canonical gauge residues of the Paulis by ascending
-weight: a residue in the set of word differences marks an undetectable
-error and a zero residue a gauge element, so detection and degeneracy
-read the same sweep.  certify_distance, corrects_weight and the CLI
-verdict all read its result, the named tuple Analysis(distance, failure,
-degenerate); it XORs per-qubit residues and builds only the Paulis it
-tests or reports.  The classical route reduces every error to its
-induced Z bit-vector, one Pauli at a time, and keys every translated
-word c_i xor e by its word i: a translate held by two words makes them
-confusable.  They must agree on every code.  detects_set looks
-a given error list up in the same set of word differences, so it is not a
-third independent route.
+analyze(), over the gauge residues of the Paulis (code._gauge_residue) by
+ascending weight: a residue in the set of word differences marks an
+undetectable error and a zero residue a gauge element, so detection and
+degeneracy read the same sweep.  certify_distance, corrects_weight and the
+CLI verdict all read its result, the named tuple Analysis(distance,
+failure, degenerate).  The classical route reduces every error to its
+induced Z bit-vector, one Pauli at a time, and keys every translated word
+c_i xor e by its word i: a translate held by two words makes them
+confusable.  They must agree on every code.  detects_set looks a given
+error list up in the same set of word differences, so it is not a third
+independent route.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .code import OcwsCode, _GF2Basis, _gauge_basis, _gauge_product
-from .induction import image_positions, induced_error_set, pauli_at, pauli_images
+from .code import OcwsCode, _GF2Basis, _gauge_product, _gauge_residue
+from .induction import image_positions, induced_error_set, induced_images, pauli_at, pauli_images
 # enumerate_paulis and paulis_of_weight stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, paulis_of_weight  # noqa: F401
 from .pauli import PauliOperator
@@ -68,11 +67,10 @@ class DetectionReport(namedtuple("DetectionReport", "checked failures")):
 def _differences(words: tuple[int, ...]) -> set[int]:
     """Every word-pair difference c_i xor c_j, i != j.
 
-    w_i E w_j lies in the gauge group exactly when E's canonical residue is
-    c_i xor c_j: a word lies on qubits 1..s, clear of every pivot of the
-    gauge basis (the X bits and the gauge qubits' Z bits), so it is its own
-    residue, and 0 is no difference.  The differences span what the c_1 xor
-    c_j span, so rows stop once the set holds every nonzero vector of it.
+    w_i E w_j lies in the gauge group exactly when E's gauge residue is
+    c_i xor c_j: a word is Z-type on qubits 1..s, so it is its own residue,
+    and 0 is no difference.  The differences span what the c_1 xor c_j
+    span, so rows stop once the set holds every nonzero vector of it.
     """
     span = _GF2Basis()
     for c in words[1:]:
@@ -87,16 +85,14 @@ def _differences(words: tuple[int, ...]) -> set[int]:
 
 
 def _first_failure(
-    code: OcwsCode, e: PauliOperator, differences: set[int], basis: _GF2Basis
+    code: OcwsCode, e: PauliOperator, differences: set[int]
 ) -> DetectionFailure | None:
     """e's first confusable word pair: the least i, then its partner j.
 
     w_i E w_j is E with its residue c_i xor c_j XORed into Z: the gauge
     element that E's reduction took off, named by that reduction's combo.
     """
-    if e.n != code.n:
-        raise ValueError(f"operator length {e.n} does not match code n={code.n}")
-    residue, combo = basis.reduce((e.x << code.n) | e.z)
+    residue, combo = _gauge_residue(code, e)
     if residue not in differences:
         return None
     index = {c: j for j, c in enumerate(code.words, start=1)}
@@ -109,8 +105,7 @@ def detects_set(code: OcwsCode, errors) -> DetectionReport:
     """Check every error; the report lists each failure with one witness pair."""
     errors = list(errors)
     differences = _differences(code.words)
-    basis = _gauge_basis(code)
-    found = (_first_failure(code, e, differences, basis) for e in errors)
+    found = (_first_failure(code, e, differences) for e in errors)
     return DetectionReport(len(errors), tuple(f for f in found if f is not None))
 
 
@@ -134,7 +129,7 @@ class Analysis(namedtuple("Analysis", "distance failure degenerate")):
 
 
 def analyze(code: OcwsCode, t: int) -> Analysis:
-    """Sweep the canonical gauge residues of the Paulis by ascending weight, once.
+    """Sweep the gauge residues of the Paulis by ascending weight, once.
 
     The first residue in the set of word differences is the first
     undetectable error; the sweep stops there, and its weight is the
@@ -142,22 +137,22 @@ def analyze(code: OcwsCode, t: int) -> Analysis:
     with a single word no pair exists and only weights <= t are swept).
     Until a degenerate witness is found, a zero residue of weight <= t, up
     to and including that error, is a gauge element and is tested for odd
-    overlap with a word.
+    overlap with a word.  A residue is GF(2)-linear in the Pauli, so the
+    sweep XORs per-qubit residues, the reduced induced images, and builds
+    only the Paulis it tests or reports.
     """
     if t < 0:
         raise ValueError(f"weight bound t={t} must be >= 0")
     n = code.n
     t = min(t, n)
-    basis = _gauge_basis(code)
-    canonical = basis.canonical
-    residues = [canonical(1 << (q + n)) for q in range(n)], [canonical(1 << q) for q in range(n)]
+    residues = induced_images(code, (1 << code.s) - 1)
     keys = _differences(code.words)
     keys.add(0)  # a gauge element: 0 is no word difference, so no failure
     degenerate = None
     for w in range(1, (n if code.K > 1 else t) + 1):
         for support, i, residue in image_positions(pauli_images(*residues, w), keys):
             if residue:
-                failure = _first_failure(code, pauli_at(n, support, i), keys, basis)
+                failure = _first_failure(code, pauli_at(n, support, i), keys)
                 return Analysis(w, failure, degenerate)
             if w <= t and degenerate is None:
                 e = pauli_at(n, support, i)

@@ -5,7 +5,9 @@ convention, so bits("01100110") sets qubit 2, 3, 6 and 7.
 
 compatible and detects state the detection rule a second way, by brute
 force; tests compare them with the library's routes, forbidden_differences
-and detects_set.
+and detects_set.  gauge_elimination is the reference for gauge membership:
+a GF(2) elimination of the generators, which shares no code with the
+library's closed form for a Pauli's gauge residue.
 """
 
 import argparse
@@ -22,12 +24,13 @@ from ocws import (
     OcwsCode,
     PauliOperator,
     adjacency_lines,
-    gauge_decomposition,
+    gauge_generators,
     multiply,
     new_code,
     ring_graph,
 )
 from ocws.cli import _load_graph
+from ocws.code import _GF2Basis
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
@@ -191,11 +194,29 @@ def compatible(code_skeleton: OcwsCode, c_i: int, c_j: int, error_sweep) -> bool
     return all(diff != ea ^ eb for ea, eb in itertools.combinations(sweep, 2))
 
 
+def symplectic(p: PauliOperator) -> int:
+    """p as the GF(2) vector (x << n) | z."""
+    return p.x << p.n | p.z
+
+
+def gauge_elimination(code: OcwsCode) -> _GF2Basis:
+    """Reference: the gauge generators' symplectic vectors, eliminated one by one.
+
+    Combo bit k stands for generator k, in gauge_generators' order.
+    """
+    basis = _GF2Basis()
+    for k, g in enumerate(gauge_generators(code).generators):
+        basis.add(symplectic(g), 1 << k)
+    assert basis.rank == code.n + code.r
+    return basis
+
+
 def detects(code: OcwsCode, e: PauliOperator) -> bool:
     """The paper's definition: w_i e w_j is outside the gauge group for every i != j."""
+    basis = gauge_elimination(code)
     words = [code.word_operator(i) for i in range(code.K)]
     return all(
-        gauge_decomposition(code, multiply(multiply(wi, e), wj)) is None
+        basis.decompose(symplectic(multiply(multiply(wi, e), wj))) is None
         for wi, wj in itertools.permutations(words, 2)
     )
 

@@ -7,6 +7,7 @@ import pytest
 
 from ocws import (
     CodeFileError,
+    Graph,
     PauliOperator,
     detects_set,
     format_pauli,
@@ -22,8 +23,8 @@ from ocws import (
     ring_graph,
     write_code_file,
 )
-from ocws.code import _GF2Basis, _gauge_basis, _symplectic_vector
-from conftest import PERFBENCH, bits, random_code, random_graph
+from ocws.code import _GF2Basis, _gauge_product
+from conftest import PERFBENCH, bits, gauge_elimination, random_code, random_graph, symplectic
 
 
 def test_basic_properties(code_8_1_1_3):
@@ -71,24 +72,26 @@ def test_gauge_generators_labels_and_count(code_8_1_1_3):
     group = gauge_generators(code_8_1_1_3)
     assert len(group.generators) == 9
     assert group.labels == ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "g1")
-    assert _gauge_basis(code_8_1_1_3).rank == 9
+    assert gauge_elimination(code_8_1_1_3).rank == 9
     assert format_pauli(group.generators[0]) == "XZIIIIIZ"
     assert format_pauli(group.generators[8]) == "IIIIIIIZ"
 
 
 def test_gauge_basis_is_the_basis_of_the_generators():
-    """Rows and combos: built from the graph rows, as from the PauliOperator generators."""
+    """The generators are already an echelon basis.
+
+    Eliminating them only clears the gauge bits of each S_q, by the g_j at those bits.
+    """
     rng = random.Random(61)
     for n in range(3, 13):
         for r in range(n):
             code = random_code(rng, random_graph(rng, n), r, 1)
-            built = _GF2Basis()
-            for k, g in enumerate(gauge_generators(code).generators):
-                built.add(_symplectic_vector(g), 1 << k)
-            basis = _gauge_basis(code)
-            assert basis.rows() == built.rows() and basis.rank == n + r
-            assert [basis.decompose(v) for v in basis.rows()] == [
-                built.decompose(v) for v in built.rows()
+            s, basis = n - r, gauge_elimination(code)
+            rows = [1 << (s + j) for j in range(r)]
+            rows += [1 << (q + n) | row & ((1 << s) - 1) for q, row in enumerate(code.graph.rows)]
+            assert basis.rows() == rows
+            assert [basis.decompose(v) for v in rows] == [1 << (n + j) for j in range(r)] + [
+                1 << q | row >> s << n for q, row in enumerate(code.graph.rows)
             ]
 
 
@@ -106,17 +109,46 @@ def _span(code):
     return elements
 
 
+def _every_small_code():
+    """Every graph on n <= 4 vertices with every r, as a one-word code."""
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for edges in itertools.product((0, 1), repeat=len(pairs)):
+            rows = [0] * n
+            for (i, j), take in zip(pairs, edges):
+                rows[i] |= take << j
+                rows[j] |= take << i
+            for r in range(n):
+                yield new_code(Graph(n, rows), r, (0,))
+
+
 def test_membership_matches_brute_force_span():
+    """Membership and the product named, against the span and the reference elimination.
+
+    Random codes on 3..6 qubits draw 200 Paulis each; every code on n <= 4
+    qubits is checked on all 4^n Paulis.
+    """
     rng = random.Random(7)
+    cases = []
     for _ in range(10):
         n = rng.randint(3, 6)
         r = rng.randint(0, 2)
         code = random_code(rng, random_graph(rng, n), r, 1)
+        draws = [(rng.randrange(1 << n), rng.randrange(1 << n)) for _ in range(200)]
+        cases.append((code, draws))
+    for code in _every_small_code():
+        cases.append((code, list(itertools.product(range(1 << code.n), repeat=2))))
+    assert len(cases) == 10 + 1 + 2 * 2 + 8 * 3 + 64 * 4
+    for code, draws in cases:
         span = _span(code)
-        assert len(span) == 1 << (n + r)
-        for _ in range(200):
-            p = PauliOperator(n, x=rng.randrange(1 << n), z=rng.randrange(1 << n))
-            assert (gauge_decomposition(code, p) is not None) == ((p.x, p.z) in span)
+        assert len(span) == 1 << (code.n + code.r)
+        reference = gauge_elimination(code)
+        for x, z in draws:
+            p = PauliOperator(code.n, x=x, z=z)
+            label = gauge_decomposition(code, p)
+            assert (label is not None) == ((x, z) in span)
+            combo = reference.decompose(symplectic(p))
+            assert label == (None if combo is None else _gauge_product(code, combo))
 
 
 def test_gf2_basis_matches_brute_force_span():
@@ -137,9 +169,10 @@ def test_gf2_basis_matches_brute_force_span():
         pivot_mask = sum(1 << p for p in pivots)
         for a in range(1 << width):
             b = rng.randrange(1 << width)
-            assert basis.canonical(a ^ b) == basis.canonical(a) ^ basis.canonical(b)
-            assert basis.canonical(a) & pivot_mask == 0
-            assert basis.canonical(a) ^ a in span
+            residue = basis.reduce(a)[0]
+            assert basis.reduce(a ^ b)[0] == residue ^ basis.reduce(b)[0]
+            assert residue & pivot_mask == 0
+            assert residue ^ a in span
             combo = basis.decompose(a)
             assert (combo is not None) == (a in span)
             if combo is not None:

@@ -28,8 +28,7 @@ from ocws import (
     ring_graph,
     weight,
 )
-from ocws.code import _gauge_basis
-from conftest import random_code, random_graph
+from conftest import gauge_elimination, random_code, random_graph, symplectic
 
 # raw and reduced induced Z-strings for every single-qubit Pauli on the
 # 5-ring with r = 2 (gauge qubits 4 and 5)
@@ -242,16 +241,16 @@ def _image_codes():
 def test_images_equal_the_per_pauli_maps():
     for code in _image_codes():
         n = code.n
-        basis = _gauge_basis(code)
+        basis = gauge_elimination(code)
         residues = (
-            [basis.canonical(1 << (q + n)) for q in range(n)],
-            [basis.canonical(1 << q) for q in range(n)],
+            [basis.reduce(1 << (q + n))[0] for q in range(n)],
+            [basis.reduce(1 << q)[0] for q in range(n)],
         )
         raw = induced_images(code)
         reduced = induced_images(code, (1 << code.s) - 1)
         for w in range(n + 1) if n <= 6 else (7,):
             for e, v in _rebuilt(n, pauli_images(*residues, w)):
-                assert v == basis.canonical((e.x << n) | e.z)
+                assert v == basis.reduce(symplectic(e))[0]
             for e, v in _rebuilt(n, pauli_images(*raw, w)):
                 assert v == induce(code, e)
             for e, v in _rebuilt(n, pauli_images(*reduced, w)):
@@ -261,7 +260,7 @@ def test_images_equal_the_per_pauli_maps():
 def test_gauge_residues_are_the_reduced_induced_images():
     """The operator sweep's per-qubit residues equal the search's reduced images.
 
-    Every pivot of the fully reduced gauge basis is an X bit or a gauge Z
+    Every pivot of the eliminated gauge generators is an X bit or a gauge Z
     bit, so reducing a Pauli clears its X part through the graph rows and
     then the gauge bits, which leaves its reduced induced image; a word has
     no pivot bit and is its own residue.
@@ -276,10 +275,10 @@ def test_gauge_residues_are_the_reduced_induced_images():
     assert any(c.r == 0 for c in codes) and any(c.K == 1 for c in codes)
     for code in codes:
         n = code.n
-        canonical = _gauge_basis(code).canonical
+        basis = gauge_elimination(code)
         residues = (
-            [canonical(1 << (q + n)) for q in range(n)],
-            [canonical(1 << q) for q in range(n)],
+            [basis.reduce(1 << (q + n))[0] for q in range(n)],
+            [basis.reduce(1 << q)[0] for q in range(n)],
         )
         assert residues == induced_images(code, (1 << code.s) - 1)
-        assert [canonical(c) for c in code.words] == list(code.words)
+        assert [basis.reduce(c)[0] for c in code.words] == list(code.words)

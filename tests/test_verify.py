@@ -33,10 +33,16 @@ from ocws import (
     write_code_file,
 )
 from ocws.cli import main
-from ocws import code as code_module, verify
-from ocws.code import _gauge_basis
+from ocws import verify
 from ocws.verify import _differences
-from conftest import detects, load_workloads, random_code, random_graph
+from conftest import (
+    detects,
+    gauge_elimination,
+    load_workloads,
+    random_code,
+    random_graph,
+    symplectic,
+)
 
 
 def test_fixture_codes_certify_distance_three(code_8_1_1_3, code_9_3_1_3, code_9_4_1_3):
@@ -427,27 +433,6 @@ def test_analyze_sweeps_each_weight_once(monkeypatch, code_8_1_1_3, code_9_3_1_3
     assert witnesses >= 3
 
 
-def test_one_gauge_basis_per_analyze_and_per_detects_set(monkeypatch, code_8_1_1_3,
-                                                         code_9_3_1_3):
-    """A witness is named by the reduction that found it, so no call builds a second basis."""
-    builds = []
-    build = code_module._gauge_basis
-
-    def counting(code):
-        builds.append(code)
-        return build(code)
-
-    monkeypatch.setattr(code_module, "_gauge_basis", counting)
-    monkeypatch.setattr(verify, "_gauge_basis", counting)
-    for code in (code_8_1_1_3, code_9_3_1_3):
-        builds.clear()
-        assert analyze(code, 1).failure is not None
-        assert len(builds) == 1
-        builds.clear()
-        assert len(detects_set(code, enumerate_paulis(code.n, 3)).failures) > 1
-        assert len(builds) == 1
-
-
 def test_cli_verify_matches_reference_lines(capsys, tmp_path):
     path = tmp_path / "code.ocws"
     edge_seen = False
@@ -491,11 +476,11 @@ def test_verify_prints_degenerate_witness_when_distance_holds(capsys, tmp_path):
 
 
 def _per_pair_table(code):
-    """Reference: the canonical residue of every word-pair difference, to its first pair."""
-    basis = _gauge_basis(code)
+    """Reference: the gauge residue of every word-pair difference, to its first pair."""
+    basis = gauge_elimination(code)
     table = {}
     for (i, ci), (j, cj) in itertools.combinations(enumerate(code.words, start=1), 2):
-        table.setdefault(basis.canonical(ci ^ cj), (i, j))
+        table.setdefault(basis.reduce(ci ^ cj)[0], (i, j))
     return table
 
 
@@ -512,10 +497,10 @@ def _difference_cases(fixture):
 
 
 def test_words_are_their_own_canonical_residues(code_9_3_1_3):
-    """Words avoid every pivot of the gauge basis: the X bits and the gauge qubits' Z bits."""
+    """Words avoid every pivot of the eliminated gauge generators: X bits and gauge Z bits."""
     for code in _difference_cases(code_9_3_1_3):
-        basis = _gauge_basis(code)
-        assert [basis.canonical(c) for c in code.words] == list(code.words)
+        basis = gauge_elimination(code)
+        assert [basis.reduce(c)[0] for c in code.words] == list(code.words)
 
 
 def test_differences_match_per_pair_reduction(code_9_3_1_3):
@@ -529,10 +514,10 @@ def test_detects_set_reports_the_first_pair_of_each_failure(code_9_3_1_3):
     """Each failure of weight <= 3 names the first pair whose difference its residue is."""
     failures = 0
     for code in _difference_cases(code_9_3_1_3):
-        basis = _gauge_basis(code)
+        basis = gauge_elimination(code)
         table = _per_pair_table(code)
         errors = enumerate_paulis(code.n, 3)
-        pairs = [table.get(basis.canonical(e.x << code.n | e.z)) for e in errors]
+        pairs = [table.get(basis.reduce(symplectic(e))[0]) for e in errors]
         report = detects_set(code, errors)
         assert [(f.error, f.word_i, f.word_j) for f in report.failures] == [
             (e, *pair) for e, pair in zip(errors, pairs) if pair is not None
