@@ -39,59 +39,31 @@ class CodeFileError(ValueError):
     """Raised for malformed code files."""
 
 
-class _GF2Basis:
-    """Fully reduced row-echelon basis over GF(2) with combination tracking.
+def _echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Fully reduced echelon basis over GF(2) of the vectors' span.
 
-    Vectors are plain integers.  Each row is keyed by its top bit, its
-    pivot, and every pivot bit is clear in every other row, so the pivot
-    bits of a vector alone name the rows that reduce it, each once.  Each
-    stored row remembers which original generators combine to it, so
-    membership tests can also produce a decomposition witness.  This is the
-    package's one GF(2) elimination: the search's parity constraints and
-    kernel coordinates and verify's span of word differences use it.
+    Vectors are plain integers.  Each row is keyed by its lowest set bit,
+    its pivot, and every pivot bit is clear in every other row.  This is
+    the package's one GF(2) elimination: the search's parity constraints
+    and verify's rank of word differences use it.
     """
-
-    def __init__(self) -> None:
-        self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, combo)
-        self._pivots = 0
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def rows(self) -> list[int]:
-        """The row vectors in ascending pivot order."""
-        return [self._rows[p][0] for p in sorted(self._rows)]
-
-    def add(self, vector: int, combo: int = 0) -> bool:
-        """Insert a vector; returns False if it was already in the span."""
-        residue, combo = self.reduce(vector, combo)
-        if residue == 0:
-            return False
-        pivot = residue.bit_length() - 1
-        for p, (row, row_combo) in self._rows.items():
-            if row >> pivot & 1:
-                self._rows[p] = (row ^ residue, row_combo ^ combo)
-        self._rows[pivot] = (residue, combo)
-        self._pivots |= 1 << pivot
-        return True
-
-    def decompose(self, vector: int) -> int | None:
-        """Combination mask expressing the vector, or None if outside the span."""
-        residue, combo = self.reduce(vector)
-        return combo if residue == 0 else None
-
-    def reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
-        """The residue clear of every pivot, and combo XOR the combination of the rows taken off."""
+    rows: dict[int, int] = {}
+    pivots = 0
+    for v in vectors:
         # a row changes no pivot bit but its own, so the hits are fixed up front
-        hits = vector & self._pivots
+        hits = v & pivots
         while hits:
-            p = hits.bit_length() - 1
-            row, row_combo = self._rows[p]
-            vector ^= row
-            combo ^= row_combo
-            hits ^= 1 << p
-        return vector, combo
+            low = hits & -hits
+            v ^= rows[low.bit_length() - 1]
+            hits ^= low
+        if v:
+            low = v & -v
+            for p, row in rows.items():
+                if row & low:
+                    rows[p] = row ^ v
+            rows[low.bit_length() - 1] = v
+            pivots |= low
+    return rows
 
 
 def _combine(columns: tuple[int, ...] | list[int], a: int) -> int:

@@ -11,9 +11,8 @@ In the coordinates of a fully reduced echelon basis of the kernel, the
 compatibility graph is therefore CompatibilityGraph(k, forbidden), a
 named tuple of just those fields read as a Cayley graph on the ints
 0..2^k - 1, and a maximum clique is a maximum-size word set; SearchConfig
-is a named tuple too.  The parity constraints, the kernel basis and the
-coordinates all come from code._GF2Basis.  The coordinate map preserves
-order, so the lexicographically least clique maps to the least word set.
+is a named tuple too.  The coordinate map preserves order, so the
+lexicographically least clique maps to the least word set.
 
 The exact mode raises the ascending walk from vertex 0, which is the
 lexicode and is built a coset at a time, by a decision branch-and-bound
@@ -55,7 +54,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
-from .code import OcwsCode, _GF2Basis, _combine
+from .code import OcwsCode, _combine, _echelon
 from .graph import Graph, _orbit_of, automorphism_generators
 # enumerate_paulis, induced_error_set, certify_distance and corrects_weight
 # stay bound here for perfbench/spans.py
@@ -493,33 +492,42 @@ def find_max_clique(
     return _greedy_cliques(compatibility, config.seed, deadline)
 
 
-def _parity_kernel(skeleton: OcwsCode, t: int) -> list[int]:
-    """Ascending, fully reduced echelon basis of the parity kernel.
+def _parity_kernel(skeleton: OcwsCode, t: int) -> dict[int, int]:
+    """The parity constraints: an echelon basis of the degenerate X parts.
 
     The kernel holds the words on qubits 1..s with even overlap with the
-    word-block X support of every degenerate error of weight <= t; zero
-    supports constrain nothing and drop out of the echelon form.  With
-    pivots at the top bits, the word of coordinate vector a (the XOR of
-    the basis rows at the set bits of a) carries a's bits at the pivots,
-    so the map a -> word preserves order.
+    word-block X support of every degenerate error of weight <= t, so it
+    is the words with even parity against each row; zero supports
+    constrain nothing and drop out of the echelon form.
     """
     word_mask = (1 << skeleton.s) - 1
     reduced = induced_images(skeleton, word_mask)
-    constraints = _GF2Basis()
-    for w in range(1, min(t, skeleton.n) + 1):
-        for support, i, _zero in image_positions(pauli_images(*reduced, w), {0}):
-            constraints.add(pauli_at(skeleton.n, support, i).x & word_mask)
-    rows = {row.bit_length() - 1: row for row in constraints.rows()}
-    kernel = _GF2Basis()
-    for j in range(skeleton.s):
-        if j not in rows:
-            # free bit j, plus each pivot whose constraint row also holds bit j
-            kernel.add(1 << j | sum(1 << p for p, row in rows.items() if row >> j & 1))
-    return kernel.rows()
+    return _echelon(
+        pauli_at(skeleton.n, support, i).x & word_mask
+        for w in range(1, min(t, skeleton.n) + 1)
+        for support, i, _zero in image_positions(pauli_images(*reduced, w), {0})
+    )
+
+
+def _coordinates(constraints: dict[int, int], vectors: Iterable[int]) -> Iterable[int]:
+    """Kernel coordinates of the vectors in the kernel: their bits off the pivots.
+
+    Vectors with odd parity against a constraint row drop out.  Each pass
+    runs over the whole list, every filter before any shift, since dropping
+    a bit moves the bits above it; pivots drop from the highest down, so
+    each is still where its key says.  With no constraints the vectors pass
+    through untouched.
+    """
+    for row in constraints.values():
+        vectors = [v for v in vectors if not (v & row).bit_count() & 1]
+    for p in sorted(constraints, reverse=True):
+        low = (1 << p) - 1
+        vectors = [v >> 1 & ~low | v & low for v in vectors]
+    return vectors
 
 
 def _kernel_maps(
-    graph: Graph, s: int, basis: list[int], coordinates: _GF2Basis
+    graph: Graph, s: int, basis: list[int], constraints: dict[int, int]
 ) -> list[tuple[int, ...]]:
     """The graph's automorphisms that keep the gauge block, on kernel coordinates.
 
@@ -532,7 +540,7 @@ def _kernel_maps(
     maps = []
     for p in automorphism_generators(graph, s):
         units = [1 << p[q] for q in range(s)]
-        columns = tuple(coordinates.decompose(_combine(units, row)) for row in basis)
+        columns = tuple(_coordinates(constraints, [_combine(units, row) for row in basis]))
         if columns != identity:
             maps.append(columns)
     return maps
@@ -541,16 +549,28 @@ def _kernel_maps(
 def _compatibility(
     config: SearchConfig,
 ) -> tuple[CompatibilityGraph, Callable[[], list[tuple[int, ...]]], list[int]]:
-    """The parity kernel's Cayley graph in coordinates, a call building its group, the basis."""
+    """The parity kernel's Cayley graph in coordinates, a call building its group, the basis.
+
+    Each constraint row is keyed by its lowest bit, its pivot, and holds no
+    other pivot.  The basis row for free bit j is bit j plus each pivot whose
+    row holds bit j, so it has even parity against every row; those pivots
+    lie below j, so its top bit is j, and it holds no other free bit.  The
+    rows, ascending in j, are thus the kernel's unique fully reduced echelon
+    basis with pivots at the top bits: the word of coordinate vector a (the
+    XOR of the rows at the set bits of a) carries a's bits at the free bits
+    and nothing else off the pivots, so the map a -> word preserves order
+    and a word's coordinates are its bits off the pivots.
+    """
     skeleton = OcwsCode(config.graph, config.r, (0,))
     forbidden = forbidden_differences(skeleton, config.target_distance - 1)
-    basis = _parity_kernel(skeleton, (config.target_distance - 1) // 2)
-    coordinates = _GF2Basis()
-    for i, row in enumerate(basis):
-        coordinates.add(row, 1 << i)
-    in_kernel = (coordinates.decompose(f) for f in forbidden)
-    graph = CompatibilityGraph(len(basis), (a for a in in_kernel if a is not None))
-    return graph, lambda: _kernel_maps(config.graph, config.s, basis, coordinates), basis
+    constraints = _parity_kernel(skeleton, (config.target_distance - 1) // 2)
+    basis = [
+        1 << j | sum(1 << p for p, row in constraints.items() if row >> j & 1)
+        for j in range(config.s)
+        if j not in constraints
+    ]
+    graph = CompatibilityGraph(len(basis), _coordinates(constraints, forbidden))
+    return graph, lambda: _kernel_maps(config.graph, config.s, basis, constraints), basis
 
 
 def search_code(config: SearchConfig) -> tuple[OcwsCode, bool]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .code import OcwsCode, _GF2Basis, _gauge_product, _gauge_residue
+from .code import OcwsCode, _echelon, _gauge_product, _gauge_residue
 from .induction import image_positions, induced_error_set, induced_images, pauli_at, pauli_images
 # enumerate_paulis and paulis_of_weight stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, paulis_of_weight  # noqa: F401
@@ -72,10 +72,7 @@ def _differences(words: tuple[int, ...]) -> set[int]:
     and 0 is no difference.  The differences span what the c_1 xor c_j
     span, so rows stop once the set holds every nonzero vector of it.
     """
-    span = _GF2Basis()
-    for c in words[1:]:
-        span.add(words[0] ^ c)
-    nonzero = (1 << span.rank) - 1
+    nonzero = (1 << len(_echelon(words[0] ^ c for c in words[1:]))) - 1
     differences: set[int] = set()
     for i, c in enumerate(words, start=1):
         if len(differences) == nonzero:
@@ -198,7 +195,7 @@ def classical_route_corrects(code: OcwsCode, t: int) -> bool:
         raise ValueError(f"weight bound t={t} must be >= 0")
     if t == 0:
         return True
-    classes = induced_error_set(code, t)
+    classes = induced_error_set(code, min(t, code.n))
     shifts = [0, *(cls.bits for cls in classes)]
     owner: dict[int, int] = {}
     for i, c in enumerate(code.words):

@@ -30,7 +30,6 @@ from ocws import (
     ring_graph,
 )
 from ocws.cli import _load_graph
-from ocws.code import _GF2Basis
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
@@ -192,6 +191,60 @@ def compatible(code_skeleton: OcwsCode, c_i: int, c_j: int, error_sweep) -> bool
     sweep = set(error_sweep) | {0}
     diff = c_i ^ c_j
     return all(diff != ea ^ eb for ea, eb in itertools.combinations(sweep, 2))
+
+
+class _GF2Basis:
+    """Fully reduced row-echelon basis over GF(2) with combination tracking.
+
+    Vectors are plain integers.  Each row is keyed by its top bit, its
+    pivot, and every pivot bit is clear in every other row, so the pivot
+    bits of a vector alone name the rows that reduce it, each once.  Each
+    stored row remembers which original generators combine to it, so
+    membership tests can also produce a decomposition witness.  The library's
+    own elimination, code._echelon, keeps no combinations.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, combo)
+        self._pivots = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def rows(self) -> list[int]:
+        """The row vectors in ascending pivot order."""
+        return [self._rows[p][0] for p in sorted(self._rows)]
+
+    def add(self, vector: int, combo: int = 0) -> bool:
+        """Insert a vector; returns False if it was already in the span."""
+        residue, combo = self.reduce(vector, combo)
+        if residue == 0:
+            return False
+        pivot = residue.bit_length() - 1
+        for p, (row, row_combo) in self._rows.items():
+            if row >> pivot & 1:
+                self._rows[p] = (row ^ residue, row_combo ^ combo)
+        self._rows[pivot] = (residue, combo)
+        self._pivots |= 1 << pivot
+        return True
+
+    def decompose(self, vector: int) -> int | None:
+        """Combination mask expressing the vector, or None if outside the span."""
+        residue, combo = self.reduce(vector)
+        return combo if residue == 0 else None
+
+    def reduce(self, vector: int, combo: int = 0) -> tuple[int, int]:
+        """The residue clear of every pivot, and combo XOR the combination of the rows taken off."""
+        # a row changes no pivot bit but its own, so the hits are fixed up front
+        hits = vector & self._pivots
+        while hits:
+            p = hits.bit_length() - 1
+            row, row_combo = self._rows[p]
+            vector ^= row
+            combo ^= row_combo
+            hits ^= 1 << p
+        return vector, combo
 
 
 def symplectic(p: PauliOperator) -> int:

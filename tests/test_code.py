@@ -23,8 +23,16 @@ from ocws import (
     ring_graph,
     write_code_file,
 )
-from ocws.code import _GF2Basis, _gauge_product
-from conftest import PERFBENCH, bits, gauge_elimination, random_code, random_graph, symplectic
+from ocws.code import _echelon, _gauge_product
+from conftest import (
+    PERFBENCH,
+    _GF2Basis,
+    bits,
+    gauge_elimination,
+    random_code,
+    random_graph,
+    symplectic,
+)
 
 
 def test_basic_properties(code_8_1_1_3):
@@ -181,6 +189,24 @@ def test_gf2_basis_matches_brute_force_span():
                     if combo >> k & 1:
                         rebuilt ^= v
                 assert rebuilt == a
+
+
+def test_echelon_matches_brute_force_span():
+    rng = random.Random(29)
+    for _ in range(200):
+        width = rng.randint(1, 8)
+        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 10))]
+        rows = _echelon(iter(vectors))
+        span = {0}
+        for v in vectors:
+            span |= {u ^ v for u in span}
+        row_span = {0}
+        for row in rows.values():
+            row_span |= {u ^ row for u in row_span}
+        assert row_span == span and len(span) == 1 << len(rows)
+        # each key is its row's lowest bit, and clear in every other row
+        assert all(row & -row == 1 << p for p, row in rows.items())
+        assert all(row >> p & 1 == (p == q) for p in rows for q, row in rows.items())
 
 
 def test_decomposition_reproduces_element(code_8_1_1_3):

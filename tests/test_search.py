@@ -31,7 +31,7 @@ from ocws import (
 )
 from ocws import search
 from ocws.induction import induced_images, pauli_images
-from ocws.search import _GREEDY_RESTARTS, _parity_kernel, _shuffle
+from ocws.search import _GREEDY_RESTARTS, _shuffle
 from conftest import (
     WORDS_8_1,
     WORDS_9_3,
@@ -330,7 +330,7 @@ def _filtered_candidates(skel, t):
 def test_parity_kernel_basis_lists_filtered_candidates_in_order(name):
     graph, r, d = KERNEL_CASES[name]
     skel = new_code(graph, r, (0,))
-    basis = _parity_kernel(skel, (d - 1) // 2)
+    basis = search._compatibility(SearchConfig(graph, r, d))[2]
     words = []
     for a in range(1 << len(basis)):
         word = 0
@@ -341,6 +341,36 @@ def test_parity_kernel_basis_lists_filtered_candidates_in_order(name):
     assert words == _filtered_candidates(skel, (d - 1) // 2)
     if not name.startswith("ring"):
         assert len(basis) == skel.s - 1
+
+
+def test_compatibility_matches_the_filtered_candidates_on_random_graphs():
+    """Basis, forbidden coordinates and maps all index the ascending kernel words."""
+    rng = random.Random(3211)
+    nontrivial = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        r = rng.randrange(n)
+        d = rng.randint(1, min(6, n + 1))
+        graph, s = random_graph(rng, n), n - r
+        skel = new_code(graph, r, (0,))
+        compatibility, symmetries, basis = search._compatibility(SearchConfig(graph, r, d))
+        words = _filtered_candidates(skel, (d - 1) // 2)
+        index = {w: i for i, w in enumerate(words)}
+        k = len(basis)
+        nontrivial += k < s
+        assert compatibility.k == k and [_apply(basis, a) for a in range(1 << k)] == words
+        in_kernel = forbidden_differences(skel, d - 1) & index.keys()
+        assert compatibility.forbidden == {index[f] for f in in_kernel}, (graph, r, d)
+        maps = []
+        for p in automorphism_generators(graph, s):
+            # the index of each word's image under the qubit permutation
+            moved = [index[sum(1 << p[q] for q in range(s) if w >> q & 1)] for w in words]
+            columns = tuple(moved[1 << i] for i in range(k))
+            assert [_apply(columns, a) for a in range(1 << k)] == moved
+            if columns != tuple(1 << i for i in range(k)):
+                maps.append(columns)
+        assert symmetries() == maps, (graph, r, d)
+    assert nontrivial >= 100, nontrivial
 
 
 @pytest.mark.parametrize("name", sorted(PARITY_CASES))

@@ -225,11 +225,14 @@ def test_classical_route_matches_the_four_loop_reference_on_random_codes():
         n = rng.randint(3, 9)
         r = rng.randint(0, n - 1)
         code = random_code(rng, random_graph(rng, n), r, rng.randint(1, min(12, 1 << (n - r))))
-        for t in range(3):
+        for t in (0, 1, 2, n) if n <= 6 else range(3):
             verdict = classical_route_corrects(code, t)
             assert verdict == _four_loop_route(code, t), (code, t)
             if code.K > 1 and t > 0:
                 verdicts[verdict] += 1
+        if n <= 6:
+            # a bound past n covers the same errors as n
+            assert classical_route_corrects(code, n + 1) == verdict, code
     # few random multi-word codes correct an error; the benchmark codes below do
     assert verdicts[True] >= 1 and verdicts[False] >= 100, verdicts
 
