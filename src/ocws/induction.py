@@ -8,9 +8,11 @@ code space exactly like a Z-type operator whose bit-vector is
 Reducing that vector modulo the Z-type gauge generators (clearing the last
 r bits) yields the effective classical error the words must discriminate.
 Both maps are GF(2)-linear: pauli_images sweeps Paulis as XORs of per-qubit
-images, each support's list extending the list of its prefix (the support
-less its last qubit), image_positions picks out the images in a key set,
-and pauli_at rebuilds one operator only when it is needed.
+images.  Below weight 6 one list runs across the supports that share a
+prefix (all but the last qubit), each extending the prefix's list;
+image_positions picks out the images in a key set, and pauli_at rebuilds
+one operator, from a run's first support and a position, only when it is
+needed.
 """
 
 from __future__ import annotations
@@ -85,22 +87,44 @@ def pauli_images(x_images: list[int], z_images: list[int], w: int):
 
     x_images[q] and z_images[q] are the images of X and Z on qubit q.  Yields
     (support, offset, images); images runs on from position offset within
-    the support and spans the letters of its last min(w, 6) qubits.
+    the support.  Below weight 6 a list starts a run of at most 3^(6 - w)
+    supports that share all but the last qubit, and runs on through them
+    with offset 0: pauli_at reads its positions past 3^w on the raised
+    supports.  From weight 6 a list spans the letters of a support's last 6
+    qubits.  No list holds more than 3^6 images.
     """
     letters = [_letters(x, z) for x, z in zip(x_images, z_images)]
+    n = len(letters)
     m = min(max(w, 0), _TAIL)  # so that combinations rejects a negative w
-    for head in itertools.combinations(range(len(letters) - m), w - m):
+    run = 3 ** (_TAIL - m)  # supports in one list: 1 from weight 6
+    for head in itertools.combinations(range(n - m), w - m):
+        if not m:
+            yield head, 0, [0]
+            continue
         prefixes = [0]
         for q in head:
             prefixes = [p ^ a for p in prefixes for a in letters[q]]
         chunks = [(i * 3**m, prefix) for i, prefix in enumerate(prefixes)]
-        for support, images in _tails(letters, head, len(letters), m):
-            for offset, prefix in chunks:
-                yield support, offset, [prefix ^ t for t in images] if prefix else images
+        for qubits, shared in _tails(letters, head, n - 1, m - 1):
+            for first in range(qubits[-1] + 1 if qubits else 0, n, run):
+                images = [
+                    t ^ a for q in range(first, min(first + run, n)) for t in shared
+                    for a in letters[q]
+                ]
+                support = qubits + (first,)
+                for offset, prefix in chunks:
+                    yield support, offset, [prefix ^ t for t in images] if prefix else images
 
 
 def pauli_at(n: int, support: tuple[int, ...], index: int) -> PauliOperator:
-    """The Pauli at position index on a support, in pauli_images order."""
+    """The Pauli at position index on a support, in pauli_images order.
+
+    An index past the support's 3^w Paulis reads on into the run of
+    pauli_images: index // 3^w raises the last qubit by that much.
+    """
+    raised, index = divmod(index, 3 ** len(support))
+    if raised:
+        support = (*support[:-1], support[-1] + raised)
     v = 0
     for q in reversed(support):
         index, letter = divmod(index, 3)

@@ -210,11 +210,16 @@ class _Rows(dict):
         return mask
 
     def translate(self, mask: int, t: int) -> int:
-        """Permute a bitmask over the vertices by p -> p xor t."""
-        for b, low in enumerate(self._halves):
-            if t >> b & 1:
-                step = 1 << b
-                mask = ((mask & low) << step) | ((mask >> step) & low)
+        """Permute a bitmask over the vertices by p -> p xor t, with 0 <= t < 2^k.
+
+        One swap of half-masks per set bit of t, from the highest down.
+        """
+        halves = self._halves
+        while t:
+            b = t.bit_length() - 1
+            t ^= 1 << b
+            low, step = halves[b], 1 << b
+            mask = ((mask & low) << step) | ((mask >> step) & low)
         return mask
 
     def positions(self, root: int) -> tuple[list | _Rows, list | _Bits]:

@@ -70,13 +70,19 @@ def _differences(words: tuple[int, ...]) -> set[int]:
     w_i E w_j lies in the gauge group exactly when E's gauge residue is
     c_i xor c_j: a word is Z-type on qubits 1..s, so it is its own residue,
     and 0 is no difference.  The differences span what the c_1 xor c_j
-    span, so rows stop once the set holds every nonzero vector of it.
+    span, so rows stop once the set holds every nonzero vector of it.  Only a
+    nonempty set of 2^j - 1 vectors can, so the rank is computed, once,
+    when the set first reaches such a size.
     """
-    nonzero = (1 << len(_echelon(words[0] ^ c for c in words[1:]))) - 1
+    nonzero = None  # 2^rank - 1, once computed
     differences: set[int] = set()
     for i, c in enumerate(words, start=1):
-        if len(differences) == nonzero:
-            break
+        size = len(differences)
+        if size and not size & (size + 1):
+            if nonzero is None:
+                nonzero = (1 << len(_echelon(words[0] ^ d for d in words[1:]))) - 1
+            if size == nonzero:
+                break
         differences.update([c ^ d for d in words[i:]])
     return differences
 

@@ -229,6 +229,36 @@ def test_pauli_images_lists_stand_alone():
         assert len(paulis) == len(set(paulis)) == 3**w * math.comb(n, w)
 
 
+@pytest.mark.parametrize("n", range(9, 13))
+def test_pauli_images_run_across_supports_below_weight_six(n):
+    """Below weight 6 each list is one run of at most 3^(6 - w) supports that share
+    all but the last qubit, from the run's first support at offset 0."""
+    for w in range(1, 6):
+        runs = []
+        for _prefix, group in itertools.groupby(
+            itertools.combinations(range(n), w), key=lambda support: support[:-1]
+        ):
+            group = list(group)
+            runs += [(group[i], 0, len(group[i:i + 3 ** (6 - w)]) * 3**w)
+                     for i in range(0, len(group), 3 ** (6 - w))]
+        sweep = pauli_images([1 << (q + n) for q in range(n)], [1 << q for q in range(n)], w)
+        assert [(support, offset, len(images)) for support, offset, images in sweep] == runs
+        assert max(size for _support, _offset, size in runs) <= 3**6
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_pauli_at_reads_positions_past_a_support_on_the_raised_support(n):
+    """Position i >= 3^w on a support names the Pauli at i mod 3^w on the support
+    whose last qubit is raised by i // 3^w."""
+    for w in range(1, 6):
+        reference = list(_reference_paulis(n, w))
+        rank = {support: i for i, support in enumerate(itertools.combinations(range(n), w))}
+        for support in rank:
+            for i in range(3**w, (n - support[-1]) * 3**w):
+                raised = (*support[:-1], support[-1] + i // 3**w)
+                assert pauli_at(n, support, i) == reference[rank[raised] * 3**w + i % 3**w]
+
+
 def _image_codes():
     rng = random.Random(5)
     codes = [new_code(ring_graph(8), 2, (0,))]

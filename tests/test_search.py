@@ -566,6 +566,21 @@ def test_twin_pruning_decides_pools_closed_under_the_twin():
         assert search._exists_clique(rows, bits, pool, size + 1, None, twin) is None, (graph, twin)
 
 
+def test_translate_is_the_xor_permutation():
+    """translate(mask, t) moves bit p to bit p xor t, for t = 0, single bits,
+    random shifts and 2^k - 1."""
+    rng = random.Random(12)
+    for k in range(1, 11):
+        m = 1 << k
+        rows = search._Rows(CompatibilityGraph(k, frozenset()))
+        shifts = [0, m - 1, *(1 << b for b in range(k)), *(rng.randrange(m) for _ in range(8))]
+        for t in shifts:
+            for _ in range(3):
+                mask = rng.getrandbits(m)
+                expected = sum(1 << (p ^ t) for p in range(m) if mask >> p & 1)
+                assert rows.translate(mask, t) == expected, (k, t)
+
+
 def _random_cayley_graphs(rng, count):
     """Random forbidden sets for k = 3..6; at k >= 5 dense enough that no clique is huge."""
     for _ in range(count):

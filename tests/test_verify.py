@@ -36,6 +36,7 @@ from ocws.cli import main
 from ocws import verify
 from ocws.verify import _differences
 from conftest import (
+    PERFBENCH,
     detects,
     gauge_elimination,
     load_workloads,
@@ -511,6 +512,39 @@ def test_differences_match_per_pair_reduction(code_9_3_1_3):
         assert _differences(code.words) == set(_per_pair_table(code))
     # every word of ring-8 r=0: the first row already holds all 255 of the span
     assert len(_differences(tuple(range(256)))) == 255
+
+
+def _span(basis):
+    span = [0]
+    for b in basis:
+        span += [v ^ b for v in span]
+    return span
+
+
+def test_differences_equal_the_brute_force_pair_set():
+    """Random sets, whole subspaces, their cosets and single words: the early stop,
+    taken only once the set is a whole span, drops no pair difference."""
+    rng = random.Random(33)
+    cases = [(rng.getrandbits(9),) for _ in range(10)]
+    for _ in range(60):
+        s = rng.randint(1, 10)
+        cases.append(tuple(rng.sample(range(1 << s), rng.randint(1, min(40, 1 << s)))))
+        span = list(set(_span([rng.getrandbits(s) for _ in range(rng.randint(1, s))])))
+        rng.shuffle(span)
+        shift = rng.getrandbits(s)
+        cases += [tuple(span), tuple(v ^ shift for v in span)]
+    for words in cases:
+        assert _differences(words) == {c ^ d for c in words for d in words if c != d}, words
+
+
+def test_differences_skip_the_rank_on_a_set_of_no_span_size(monkeypatch):
+    """On the K = 216 ring-16 code the set never holds 2^j - 1 vectors, so no rank."""
+    code = parse_code_file((PERFBENCH / "data/ring16_r1_d3_greedy.ocws").read_text())
+    ranks, echelon = [], verify._echelon
+    monkeypatch.setattr(verify, "_echelon", lambda vectors: ranks.append(1) or echelon(vectors))
+    differences = _differences(code.words)
+    assert not ranks
+    assert differences == {c ^ d for c in code.words for d in code.words if c != d}
 
 
 def test_detects_set_reports_the_first_pair_of_each_failure(code_9_3_1_3):
