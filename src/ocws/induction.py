@@ -139,6 +139,15 @@ def image_positions(sweep, keys):
             yield from ((support, i, v) for i, v in enumerate(images, offset) if v in keys)
 
 
+def _zero_class(code: OcwsCode, t: int):
+    """X parts of the Paulis of weight 1..min(t, n) whose gauge residue is 0, in sweep order."""
+    word_mask = (1 << code.s) - 1
+    reduced = induced_images(code, word_mask)
+    for w in range(1, min(t, code.n) + 1):
+        for support, i, _zero in image_positions(pauli_images(*reduced, w), {0}):
+            yield pauli_at(code.n, support, i).x
+
+
 def paulis_of_weight(n: int, w: int):
     """Yield the Paulis of weight exactly w in canonical order.
 

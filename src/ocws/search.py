@@ -4,9 +4,10 @@ Candidate words are the Z bit-vectors supported on the non-gauge qubits
 that have even overlap with the word-block X support of every degenerate
 error of weight <= t = (d - 1) // 2.  Those words form the parity kernel,
 a k-dimensional subspace of GF(2)^s; the kernel's scan for those errors,
-the zero class of the reduced induced images, lives here.  Two candidates
-can coexist in a code of target distance d exactly when their XOR
-difference avoids every gauge-reduced induced error of weight <= d - 1.
+the zero class of the reduced induced images, is induction._zero_class,
+which the classical route of verify reads too.  Two candidates can
+coexist in a code of target distance d exactly when their XOR difference
+avoids every gauge-reduced induced error of weight <= d - 1.
 In the coordinates of a fully reduced echelon basis of the kernel, the
 compatibility graph is therefore CompatibilityGraph(k, forbidden), a
 named tuple of just those fields read as a Cayley graph on the ints
@@ -59,7 +60,7 @@ from .graph import Graph, _orbit_of, automorphism_generators
 # enumerate_paulis, induced_error_set, certify_distance and corrects_weight
 # stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, induced_error_set  # noqa: F401
-from .induction import image_positions, induced_images, pauli_at, pauli_images
+from .induction import _zero_class, induced_images, pauli_images
 from .verify import analyze, certify_distance, corrects_weight  # noqa: F401
 
 __all__ = [
@@ -497,23 +498,6 @@ def find_max_clique(
     return _greedy_cliques(compatibility, config.seed, deadline)
 
 
-def _parity_kernel(skeleton: OcwsCode, t: int) -> dict[int, int]:
-    """The parity constraints: an echelon basis of the degenerate X parts.
-
-    The kernel holds the words on qubits 1..s with even overlap with the
-    word-block X support of every degenerate error of weight <= t, so it
-    is the words with even parity against each row; zero supports
-    constrain nothing and drop out of the echelon form.
-    """
-    word_mask = (1 << skeleton.s) - 1
-    reduced = induced_images(skeleton, word_mask)
-    return _echelon(
-        pauli_at(skeleton.n, support, i).x & word_mask
-        for w in range(1, min(t, skeleton.n) + 1)
-        for support, i, _zero in image_positions(pauli_images(*reduced, w), {0})
-    )
-
-
 def _coordinates(constraints: dict[int, int], vectors: Iterable[int]) -> Iterable[int]:
     """Kernel coordinates of the vectors in the kernel: their bits off the pivots.
 
@@ -556,19 +540,23 @@ def _compatibility(
 ) -> tuple[CompatibilityGraph, Callable[[], list[tuple[int, ...]]], list[int]]:
     """The parity kernel's Cayley graph in coordinates, a call building its group, the basis.
 
-    Each constraint row is keyed by its lowest bit, its pivot, and holds no
-    other pivot.  The basis row for free bit j is bit j plus each pivot whose
-    row holds bit j, so it has even parity against every row; those pivots
-    lie below j, so its top bit is j, and it holds no other free bit.  The
-    rows, ascending in j, are thus the kernel's unique fully reduced echelon
-    basis with pivots at the top bits: the word of coordinate vector a (the
-    XOR of the rows at the set bits of a) carries a's bits at the free bits
-    and nothing else off the pivots, so the map a -> word preserves order
-    and a word's coordinates are its bits off the pivots.
+    The constraint rows, an echelon basis of the zero class's word-block X
+    parts, are keyed by their lowest bit, their pivot, and hold no other
+    pivot.  The basis row for free bit j is bit j plus each pivot whose row
+    holds bit j, so it has even parity against every row; those pivots lie
+    below j, so its top bit is j, and it holds no other free bit.  The rows,
+    ascending in j, are thus the kernel's unique fully reduced echelon basis
+    with pivots at the top bits: the word of coordinate vector a (the XOR of
+    the rows at the set bits of a) carries a's bits at the free bits and
+    nothing else off the pivots, so the map a -> word preserves order and a
+    word's coordinates are its bits off the pivots.
     """
     skeleton = OcwsCode(config.graph, config.r, (0,))
     forbidden = forbidden_differences(skeleton, config.target_distance - 1)
-    constraints = _parity_kernel(skeleton, (config.target_distance - 1) // 2)
+    word_mask = (1 << config.s) - 1
+    constraints = _echelon(
+        x & word_mask for x in _zero_class(skeleton, (config.target_distance - 1) // 2)
+    )
     basis = [
         1 << j | sum(1 << p for p, row in constraints.items() if row >> j & 1)
         for j in range(config.s)

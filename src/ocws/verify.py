@@ -14,12 +14,13 @@ ascending weight: a residue in the set of word differences marks an
 undetectable error and a zero residue a gauge element, so detection and
 degeneracy read the same sweep.  certify_distance, corrects_weight and the
 CLI verdict all read its result, the named tuple Analysis(distance,
-failure, degenerate).  The classical route reduces every error to its
-induced Z bit-vector, one Pauli at a time, and keys every translated word
-c_i xor e by its word i: a translate held by two words makes them
-confusable.  They must agree on every code.  detects_set looks a given
-error list up in the same set of word differences, so it is not a third
-independent route.
+failure, degenerate).  The classical route reads the same sweep of
+reduced induced images but keeps its own rule: it keys every translated
+word c_i xor e by its word i, so a translate held by two words makes them
+confusable, and tests the zero class (induction._zero_class) for odd
+overlap with a word by itself.  They must agree on every code.
+detects_set looks a given error list up in the same set of word
+differences, so it is not a third independent route.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .code import OcwsCode, _echelon, _gauge_product, _gauge_residue
-from .induction import image_positions, induced_error_set, induced_images, pauli_at, pauli_images
-# enumerate_paulis and paulis_of_weight stay bound here for perfbench/spans.py
-from .induction import enumerate_paulis, paulis_of_weight  # noqa: F401
+from .induction import _zero_class, image_positions, induced_images, pauli_at, pauli_images
+# enumerate_paulis, induced_error_set and paulis_of_weight stay bound here for perfbench/spans.py
+from .induction import enumerate_paulis, induced_error_set, paulis_of_weight  # noqa: F401
 from .pauli import PauliOperator
 
 __all__ = [
@@ -191,22 +192,22 @@ def certify_distance(code: OcwsCode) -> int:
 def classical_route_corrects(code: OcwsCode, t: int) -> bool:
     """Correction test for weight <= t errors in classical bit form.
 
-    Translates each word c_i by 0 and by every reduced induced-error class
-    of weight <= t, and keys each translate c_i xor e by its word i: two
-    words are confusable exactly when a translate is already held by
+    Translates each word c_i by 0 and by every reduced induced image of a
+    Pauli of weight <= t, and keys each translate c_i xor e by its word i:
+    two words are confusable exactly when a translate is already held by
     another word.  The zero class must also act alike on every word, so
-    none of its source Paulis may have odd X overlap with one.
+    none of its X parts may have odd overlap with one.
     """
     if t < 0:
         raise ValueError(f"weight bound t={t} must be >= 0")
-    if t == 0:
-        return True
-    classes = induced_error_set(code, min(t, code.n))
-    shifts = [0, *(cls.bits for cls in classes)]
+    residues = induced_images(code, (1 << code.s) - 1)
+    shifts = {0}
+    for w in range(1, min(t, code.n) + 1):
+        for _support, _offset, images in pauli_images(*residues, w):
+            shifts.update(images)
     owner: dict[int, int] = {}
     for i, c in enumerate(code.words):
         for e in shifts:
             if owner.setdefault(c ^ e, i) != i:
                 return False
-    zero = [e for cls in classes if cls.bits == 0 for e in cls.sources]
-    return not any((e.x & c).bit_count() % 2 for e in zero for c in code.words)
+    return not any((x & c).bit_count() % 2 for x in _zero_class(code, t) for c in code.words)

@@ -7,7 +7,10 @@ compatible and detects state the detection rule a second way, by brute
 force; tests compare them with the library's routes, forbidden_differences
 and detects_set.  gauge_elimination is the reference for gauge membership:
 a GF(2) elimination of the generators, which shares no code with the
-library's closed form for a Pauli's gauge residue.
+library's closed form for a Pauli's gauge residue.  stabilizer_distance
+is the stabilizer-formalism distance of an additive code, enumerated with
+itertools and eliminated with _GF2Basis, so it shares nothing with the
+library's sweep of induced images.
 """
 
 import argparse
@@ -272,6 +275,70 @@ def detects(code: OcwsCode, e: PauliOperator) -> bool:
         basis.decompose(symplectic(multiply(multiply(wi, e), wj))) is None
         for wi, wj in itertools.permutations(words, 2)
     )
+
+
+def is_additive(code: OcwsCode) -> bool:
+    """True iff the words form a subspace: every pairwise XOR is a word."""
+    return {a ^ b for a in code.words for b in code.words} == set(code.words)
+
+
+def stabilizer_route(code: OcwsCode):
+    """is_logical(u) on symplectic vectors u, for a code whose words form a subspace C.
+
+    The code space is spanned by Z^v|G> for v in V = C + the gauge patterns,
+    so its stabilizer is S^a, the product of S_i over i in a, for every a
+    orthogonal to V; the gauge group adds Z and S on each gauge qubit.  A
+    logical commutes with the stabilizer and lies outside the gauge group
+    (Poulin, PRL 95, 230504, 2005).  The a are read off V's fully reduced
+    echelon basis: each free bit f with the pivots whose rows hold f.
+    """
+    n, s, rows = code.n, code.s, code.graph.rows
+    assert is_additive(code)
+    spanned = _GF2Basis()
+    for v in [*code.words, *(1 << q for q in range(s, n))]:
+        spanned.add(v)
+    pivots = {row.bit_length() - 1: row for row in spanned.rows()}
+    orthogonal = [
+        1 << f | sum(1 << p for p, row in pivots.items() if row >> f & 1)
+        for f in range(n)
+        if f not in pivots
+    ]
+
+    def stabilizer_product(a):
+        z = 0
+        for i in range(n):
+            if a >> i & 1:
+                z ^= rows[i]
+        return a << n | z
+
+    stabilizer = [stabilizer_product(a) for a in orthogonal]
+    gauge = _GF2Basis()
+    for g in [*stabilizer, *(1 << q for q in range(s, n)),
+              *(stabilizer_product(1 << q) for q in range(s, n))]:
+        gauge.add(g)
+    mask = (1 << n) - 1
+    # u and g anticommute when u meets g's X part with Z or its Z part with X
+    swapped = [(g & mask) << n | g >> n for g in stabilizer]
+
+    def is_logical(u):
+        return (not any((u & g).bit_count() & 1 for g in swapped)
+                and gauge.reduce(u)[0] != 0)
+
+    return is_logical
+
+
+def stabilizer_distance(code: OcwsCode) -> tuple[int, PauliOperator | None]:
+    """Least weight of a logical and the first one, by weight, support and letter; or (n + 1, None)."""
+    n = code.n
+    is_logical = stabilizer_route(code)
+    letters = [(1 << (q + n), 1 << (q + n) | 1 << q, 1 << q) for q in range(n)]
+    for w in range(1, n + 1):
+        for support in itertools.combinations(range(n), w):
+            for paulis in itertools.product(*(letters[q] for q in support)):
+                u = sum(paulis)  # one letter per qubit, so no bits overlap
+                if is_logical(u):
+                    return w, PauliOperator(n, x=u >> n, z=u & ((1 << n) - 1))
+    return n + 1, None
 
 
 class Clock:

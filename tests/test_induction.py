@@ -28,6 +28,7 @@ from ocws import (
     ring_graph,
     weight,
 )
+from ocws.induction import _zero_class
 from conftest import gauge_elimination, random_code, random_graph, symplectic
 
 # raw and reduced induced Z-strings for every single-qubit Pauli on the
@@ -152,6 +153,23 @@ def test_zero_class_collects_gauge_like_errors(skeleton5):
     zero = [c for c in classes if c.bits == 0]
     assert len(zero) == 1
     assert {format_pauli(e) for e in zero[0].sources} == {"IIIZI", "IIIIZ"}
+
+
+def test_zero_class_scan_is_the_per_pauli_zero_class_in_order():
+    rng = random.Random(3421)
+    past_n = with_x = 0
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        code = random_code(rng, random_graph(rng, n), rng.randint(0, n - 1), 1)
+        t = rng.randint(0, n + 2) if n <= 5 else rng.randint(0, 3)
+        past_n += t > n
+        expected = [
+            e.x for e in enumerate_paulis(n, min(t, n))
+            if gauge_reduce(code, induce(code, e)) == 0
+        ]
+        assert list(_zero_class(code, t)) == expected, (code, t)
+        with_x += any(expected)
+    assert past_n >= 20 and with_x >= 20, (past_n, with_x)
 
 
 def test_induced_error_set_rejects_zero_weight(skeleton5):

@@ -9,7 +9,6 @@ import pytest
 from ocws import (
     DegenerateFailure,
     Graph,
-    InducedError,
     analyze,
     certify_distance,
     classical_route_corrects,
@@ -33,17 +32,29 @@ from ocws import (
     write_code_file,
 )
 from ocws.cli import main
-from ocws import verify
+from ocws import induction, verify
+from ocws.induction import _zero_class
 from ocws.verify import _differences
 from conftest import (
+    FIXTURE_DIR,
     PERFBENCH,
+    ROOT,
     detects,
     gauge_elimination,
+    is_additive,
     load_workloads,
     random_code,
     random_graph,
+    stabilizer_distance,
+    stabilizer_route,
     symplectic,
 )
+
+# every code file in the repository: fixtures/, tests/data and perfbench/data
+COMMITTED_CODES = [
+    path for folder in (FIXTURE_DIR, ROOT / "tests" / "data", PERFBENCH / "data")
+    for path in sorted(folder.glob("*.ocws"))
+]
 
 
 def test_fixture_codes_certify_distance_three(code_8_1_1_3, code_9_3_1_3, code_9_4_1_3):
@@ -239,15 +250,132 @@ def test_classical_route_matches_the_four_loop_reference_on_random_codes():
 
 
 def test_classical_route_keys_each_untranslated_word(monkeypatch, broken_toy):
-    """A lone class that maps one word onto the other collides through the 0 shift.
+    """A lone image that maps one word onto the other collides through the 0 shift.
 
-    Real class sets never need the shift: on one qubit Y = XZ, so every
-    class is the XOR of two classes of weight <= t.  A stubbed set shows it.
+    Real sweeps never need the shift: on one qubit Y = XZ, so every image
+    is the XOR of two images of weight <= t.  A stubbed sweep shows it; the
+    zero class, read apart from it, has no X part on broken_toy at weight 1.
     """
     c0, c1 = broken_toy.words
+    assert list(_zero_class(broken_toy, 1)) == [0, 0]  # Z on the two gauge qubits
     for bits, verdict in ((c0 ^ c1, False), (0b10, True)):
-        monkeypatch.setattr(verify, "induced_error_set", lambda code, t: [InducedError(bits, ())])
+        monkeypatch.setattr(verify, "pauli_images", lambda x, z, w: iter([((0,), 0, [bits])]))
         assert classical_route_corrects(broken_toy, 1) == verdict
+
+
+def test_classical_route_builds_no_operator_per_error(monkeypatch):
+    """The route reads the sweep of induced images, not the per-Pauli maps."""
+    rng = random.Random(3408)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(3, 8)
+        r = rng.randint(0, n - 1)
+        code = random_code(rng, random_graph(rng, n), r, rng.randint(1, min(6, 1 << (n - r))))
+        cases += [(code, t, _four_loop_route(code, t)) for t in range(4)]
+
+    def refuse(*args):
+        raise AssertionError("a per-Pauli map was called")
+
+    for module, name in ((verify, "induced_error_set"), (induction, "induced_error_set"),
+                         (induction, "induce"), (induction, "gauge_reduce")):
+        monkeypatch.setattr(module, name, refuse)
+    for code, t, verdict in cases:
+        assert classical_route_corrects(code, t) == verdict, (code, t)
+    verdicts = {verdict for code, t, verdict in cases if code.K > 1 and t > 0}
+    assert verdicts == {True, False}
+
+
+def test_routes_agree_on_every_committed_code_file_up_to_weight_three():
+    assert len(COMMITTED_CODES) == 25
+    verdicts = {True: 0, False: 0}
+    for path in COMMITTED_CODES:
+        code = parse_code_file(path.read_text())
+        for t in (1, 2, 3):
+            verdict = classical_route_corrects(code, t)
+            assert verdict == corrects_weight(code, t), (path.name, t)
+            verdicts[verdict] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+def _sign_split_weight(code, below):
+    """Least weight < below of a zero-residue Pauli whose X parity differs between words.
+
+    Such a Pauli is a gauge element that signs the word sectors unevenly, a
+    logical Z-type error; returns below when there is none under it.
+    """
+    for w in range(1, below):
+        for e in paulis_of_weight(code.n, w):
+            if gauge_reduce(code, induce(code, e)) == 0:
+                if len({(e.x & c).bit_count() % 2 for c in code.words}) > 1:
+                    return w
+    return below
+
+
+def test_stabilizer_distance_is_certify_distance_cut_at_the_first_sign_split():
+    """The stabilizer formalism counts a sector-signing gauge element as a logical.
+
+    certify_distance tests no zero-residue error's sign, so on these files
+    the relation is min(certify_distance, the first split weight); it reads
+    certify_distance alone once that sign stops the certified distance.
+    """
+    additive = below = 0
+    for path in COMMITTED_CODES:
+        code = parse_code_file(path.read_text())
+        if not is_additive(code):
+            continue
+        additive += 1
+        distance = certify_distance(code)
+        found, logical = stabilizer_distance(code)
+        assert found == min(distance, _sign_split_weight(code, distance)), path.name
+        assert (logical is None) == (found == code.n + 1), path.name
+        below += found < distance
+    assert (additive, below) == (18, 13)
+
+
+def _random_additive_code(rng, sizes, gauges):
+    """A random code whose words span 1 to 3 random vectors, drawn until its distance is >= 2.
+
+    Distance 1 leaves no weight for a split below it.
+    """
+    while True:
+        n = rng.randint(*sizes)
+        r = rng.randint(0, min(gauges, n - 1))
+        span = {0}
+        for _ in range(rng.randint(1, min(3, n - r))):
+            v = rng.randrange(1, 1 << (n - r))
+            span |= {c ^ v for c in span}
+        code = new_code(random_graph(rng, n), r, sorted(span))
+        if certify_distance(code) >= 2:
+            return code
+
+
+def test_stabilizer_distance_relation_on_random_additive_codes():
+    rng = random.Random(3434)
+    pairs = {}
+    # n <= 9 with any gauge count, then up to n = 16 with r <= 3
+    for count, sizes, gauges in ((400, (4, 9), 8), (40, (10, 16), 3)):
+        for _ in range(count):
+            code = _random_additive_code(rng, sizes, gauges)
+            distance = certify_distance(code)
+            found, _logical = stabilizer_distance(code)
+            assert found == min(distance, _sign_split_weight(code, distance)), code
+            pairs[found, distance] = pairs.get((found, distance), 0) + 1
+    # the split cuts the distance at weights 1, 2 and 3, and distance 4 is reached
+    assert pairs.get((1, 2), 0) >= 20 and pairs.get((2, 3), 0) >= 5, pairs
+    assert pairs.get((3, 4), 0) >= 1 and pairs.get((4, 4), 0) >= 1, pairs
+
+
+def test_stabilizer_route_finds_the_weight_two_logical_of_9_3_1_3(code_9_3_1_3):
+    """X_1 Z_2 = S_1 Z_9 is a gauge element whose sign follows bit 1 of the word."""
+    x1z2 = parse_pauli("XZIIIIIII")
+    assert gauge_reduce(code_9_3_1_3, induce(code_9_3_1_3, x1z2)) == 0
+    assert stabilizer_distance(code_9_3_1_3) == (2, x1z2)
+    is_logical = stabilizer_route(code_9_3_1_3)
+    assert is_logical(symplectic(x1z2))
+    # Z and S_9 on the gauge qubit, and S_2 S_5, even on every word, are gauge elements
+    for gauge in ("IIIIIIIIZ", "ZIIIIIIZX", "ZXZZXZIII"):
+        assert not is_logical(symplectic(parse_pauli(gauge))), gauge
+    assert certify_distance(code_9_3_1_3) == 3
 
 
 def _benchmark_codes():
