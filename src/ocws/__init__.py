@@ -30,7 +30,6 @@ _LAZY = {
     "search": (
         "SearchError",
         "SearchConfig",
-        "forbidden_differences",
         "CompatibilityGraph",
         "find_max_clique",
         "search_code",

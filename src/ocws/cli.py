@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .code import OcwsCode, parse_code_file, write_code_file
 from .graph import Graph, from_adjacency, ring_graph
-from .induction import enumerate_paulis, induced_images, pauli_images
+from .induction import _zero_class, enumerate_paulis, forbidden_differences, induced_images
+from .induction import pauli_images
 from .pauli import format_pauli
 from .verify import analyze
 
@@ -172,20 +173,19 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     x_bits, z_bits = induced_images(code)
     x_images = [image(q, bits, 0xA) for q, bits in enumerate(x_bits)]
     z_images = [image(q, bits, 0xC) for q, bits in enumerate(z_bits)]
-    reduced = 16 ** n - 1 << 4 >> cut  # the reduced digits
-    classes, count = set(), args.format == "text"  # only text prints the count
     sweep = chain.from_iterable(
         images for w in range(1, args.weight + 1)
         for _support, _offset, images in pauli_images(x_images, z_images, w)
     )
     # batches of 256 lines: few calls per line, and a small heap at any weight
     for batch in iter(lambda: list(islice(sweep, 256)), []):
-        if count:
-            classes.update(map(reduced.__and__, batch))
         data = b"".join([(frame | v).to_bytes(size, "big") for v in batch])
         text = data.hex("\n", size) + "\n" if cut else data.hex()
         sys.stdout.write(text.translate(letters))
-    _comment(args, f"{len(classes)} distinct reduced classes")
+    if args.format == "text":  # the induced-error set, plus 0 when some Pauli reduces to it
+        zero = next(_zero_class(code, args.weight), None) is not None
+        classes = len(forbidden_differences(code, args.weight)) + zero
+        _comment(args, f"{classes} distinct reduced classes")
     return 0
 
 

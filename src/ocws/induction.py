@@ -12,7 +12,8 @@ images.  Below weight 6 one list runs across the supports that share a
 prefix (all but the last qubit), each extending the prefix's list;
 image_positions picks out the images in a key set, and pauli_at rebuilds
 one operator, from a run's first support and a position, only when it is
-needed.
+needed.  forbidden_differences is the one induced-error set, which the
+search, the classical route and the induce count read beside _zero_class.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "paulis_of_weight",
     "enumerate_paulis",
     "induced_error_set",
+    "forbidden_differences",
 ]
 
 
@@ -146,6 +148,26 @@ def _zero_class(code: OcwsCode, t: int):
     for w in range(1, min(t, code.n) + 1):
         for support, i, _zero in image_positions(pauli_images(*reduced, w), {0}):
             yield pauli_at(code.n, support, i).x
+
+
+def forbidden_differences(code_skeleton: OcwsCode, max_error_weight: int) -> frozenset[int]:
+    """Nonzero reduced induced errors of every Pauli with weight <= the bound.
+
+    Only the argument's graph and r are read.  A word pair whose XOR
+    difference lands in this set is confusable by some error of that
+    weight: the search keeps cliques off it, the classical route translates
+    words by it.  The sweep stops once the set is the whole word space.
+    """
+    if not 0 <= max_error_weight <= code_skeleton.n:
+        raise ValueError(f"max error weight {max_error_weight} out of range 0..{code_skeleton.n}")
+    images = induced_images(code_skeleton, (1 << code_skeleton.s) - 1)
+    sweep = (c for w in range(1, max_error_weight + 1) for c in pauli_images(*images, w))
+    found = {0}
+    for _support, _offset, errors in sweep:
+        found.update(errors)
+        if len(found) >> code_skeleton.s:  # all 2^s vectors: no later error adds one
+            break
+    return frozenset(found - {0})
 
 
 def paulis_of_weight(n: int, w: int):

@@ -7,7 +7,8 @@ a k-dimensional subspace of GF(2)^s; the kernel's scan for those errors,
 the zero class of the reduced induced images, is induction._zero_class,
 which the classical route of verify reads too.  Two candidates can
 coexist in a code of target distance d exactly when their XOR difference
-avoids every gauge-reduced induced error of weight <= d - 1.
+avoids induction.forbidden_differences to weight <= d - 1, the one set of
+gauge-reduced induced errors, which verify and the CLI read too.
 In the coordinates of a fully reduced echelon basis of the kernel, the
 compatibility graph is therefore CompatibilityGraph(k, forbidden), a
 named tuple of just those fields read as a Cayley graph on the ints
@@ -60,13 +61,12 @@ from .graph import Graph, _orbit_of, automorphism_generators
 # enumerate_paulis, induced_error_set, certify_distance and corrects_weight
 # stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, induced_error_set  # noqa: F401
-from .induction import _zero_class, induced_images, pauli_images
+from .induction import _zero_class, forbidden_differences
 from .verify import analyze, certify_distance, corrects_weight  # noqa: F401
 
 __all__ = [
     "SearchError",
     "SearchConfig",
-    "forbidden_differences",
     "CompatibilityGraph",
     "find_max_clique",
     "search_code",
@@ -127,26 +127,6 @@ class SearchConfig(
     @property
     def s(self) -> int:
         return self.graph.n - self.r
-
-
-def forbidden_differences(code_skeleton: OcwsCode, max_error_weight: int) -> frozenset[int]:
-    """Nonzero reduced induced errors of every Pauli with weight <= the bound.
-
-    A candidate pair whose XOR difference lands in this set is confusable
-    by some error of that weight, so cliques avoiding it have certified
-    distance > max_error_weight.  The sweep stops once the set is the whole
-    word space.
-    """
-    if not 0 <= max_error_weight <= code_skeleton.n:
-        raise ValueError(f"max error weight {max_error_weight} out of range 0..{code_skeleton.n}")
-    images = induced_images(code_skeleton, (1 << code_skeleton.s) - 1)
-    sweep = (c for w in range(1, max_error_weight + 1) for c in pauli_images(*images, w))
-    found = {0}
-    for _support, _offset, errors in sweep:
-        found.update(errors)
-        if len(found) >> code_skeleton.s:  # all 2^s vectors: no later error adds one
-            break
-    return frozenset(found - {0})
 
 
 class CompatibilityGraph(namedtuple("CompatibilityGraph", "k forbidden")):

@@ -14,11 +14,11 @@ ascending weight: a residue in the set of word differences marks an
 undetectable error and a zero residue a gauge element, so detection and
 degeneracy read the same sweep.  certify_distance, corrects_weight and the
 CLI verdict all read its result, the named tuple Analysis(distance,
-failure, degenerate).  The classical route reads the same sweep of
-reduced induced images but keeps its own rule: it keys every translated
-word c_i xor e by its word i, so a translate held by two words makes them
-confusable, and tests the zero class (induction._zero_class) for odd
-overlap with a word by itself.  They must agree on every code.
+failure, degenerate).  The classical route reads the induced-error set
+(induction.forbidden_differences) but keeps its own rule: it keys every
+translated word c_i xor e by its word i, so a translate held by two words
+makes them confusable, and tests the zero class (induction._zero_class)
+for odd overlap with a word by itself.  They must agree on every code.
 detects_set looks a given error list up in the same set of word
 differences, so it is not a third independent route.
 """
@@ -28,7 +28,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .code import OcwsCode, _echelon, _gauge_product, _gauge_residue
-from .induction import _zero_class, image_positions, induced_images, pauli_at, pauli_images
+from .induction import _zero_class, forbidden_differences, image_positions, induced_images
+from .induction import pauli_at, pauli_images
 # enumerate_paulis, induced_error_set and paulis_of_weight stay bound here for perfbench/spans.py
 from .induction import enumerate_paulis, induced_error_set, paulis_of_weight  # noqa: F401
 from .pauli import PauliOperator
@@ -193,18 +194,14 @@ def classical_route_corrects(code: OcwsCode, t: int) -> bool:
     """Correction test for weight <= t errors in classical bit form.
 
     Translates each word c_i by 0 and by every reduced induced image of a
-    Pauli of weight <= t, and keys each translate c_i xor e by its word i:
-    two words are confusable exactly when a translate is already held by
-    another word.  The zero class must also act alike on every word, so
-    none of its X parts may have odd overlap with one.
+    Pauli of weight <= t (forbidden_differences), and keys each translate
+    c_i xor e by its word i: two words are confusable exactly when a
+    translate is already held by another word.  The zero class must also
+    act alike on every word: none of its X parts may overlap one oddly.
     """
     if t < 0:
         raise ValueError(f"weight bound t={t} must be >= 0")
-    residues = induced_images(code, (1 << code.s) - 1)
-    shifts = {0}
-    for w in range(1, min(t, code.n) + 1):
-        for _support, _offset, images in pauli_images(*residues, w):
-            shifts.update(images)
+    shifts = forbidden_differences(code, min(t, code.n)) | {0}
     owner: dict[int, int] = {}
     for i, c in enumerate(code.words):
         for e in shifts:

@@ -120,6 +120,24 @@ def test_package_all_is_the_union_of_every_module_all():
     assert ocws.SearchConfig is search.SearchConfig
 
 
+def test_package_all_lists_each_name_once_and_no_lazy_name_loads_eagerly():
+    eager = {name for module in (pauli, graph, code, induction, verify) for name in module.__all__}
+    lazy = [name for names in ocws._LAZY.values() for name in names]
+    assert len(ocws.__all__) == len(set(ocws.__all__))
+    assert sorted(eager.intersection(lazy)) == []
+
+
+def test_forbidden_differences_loads_with_the_eager_modules():
+    probe = (
+        "import json, sys, ocws\n"
+        "found = ocws.forbidden_differences\n"
+        "print(json.dumps([found.__module__, 'ocws.search' in sys.modules]))\n"
+    )
+    assert json.loads(_fresh(probe)) == ["ocws.induction", False]
+    assert search.forbidden_differences is induction.forbidden_differences
+    assert "forbidden_differences" not in search.__all__
+
+
 def test_oracle_names_resolve_on_the_package():
     assert ocws.oracle is oracle
     assert ocws.oqec_check is oracle.oqec_check

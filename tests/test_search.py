@@ -29,7 +29,7 @@ from ocws import (
     search_code,
     write_code_file,
 )
-from ocws import search
+from ocws import induction, search
 from ocws.induction import induced_images, pauli_images
 from ocws.search import _GREEDY_RESTARTS, _shuffle
 from conftest import (
@@ -158,7 +158,7 @@ def test_forbidden_sweep_draws_no_list_past_the_one_that_fills_the_set(monkeypat
             drawn.append(chunk[2])
             yield chunk
 
-    monkeypatch.setattr(search, "pauli_images", recording)
+    monkeypatch.setattr(induction, "pauli_images", recording)
     skel = _skeleton(8, 0)  # full at weight 4
     assert forbidden_differences(skel, 6) == frozenset(range(1, 1 << 8))
     seen = {0}

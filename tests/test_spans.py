@@ -126,3 +126,4 @@ def test_search_through_the_cli_records_its_clique_span_and_counters(capsys):
     assert tracer.counts["search.candidates"] == 512
     assert tracer.counts["search.clique_k"] == 12
     assert tracer.counts["search.complete"] == 1
+    assert tracer.counts["search.forbidden_size"] > 0  # the search reads the induced-error set

@@ -253,14 +253,30 @@ def test_classical_route_keys_each_untranslated_word(monkeypatch, broken_toy):
     """A lone image that maps one word onto the other collides through the 0 shift.
 
     Real sweeps never need the shift: on one qubit Y = XZ, so every image
-    is the XOR of two images of weight <= t.  A stubbed sweep shows it; the
-    zero class, read apart from it, has no X part on broken_toy at weight 1.
+    is the XOR of two images of weight <= t.  A stubbed induced-error set
+    shows it; the zero class, read apart from it, has no X part on
+    broken_toy at weight 1.
     """
     c0, c1 = broken_toy.words
     assert list(_zero_class(broken_toy, 1)) == [0, 0]  # Z on the two gauge qubits
     for bits, verdict in ((c0 ^ c1, False), (0b10, True)):
-        monkeypatch.setattr(verify, "pauli_images", lambda x, z, w: iter([((0,), 0, [bits])]))
+        monkeypatch.setattr(verify, "forbidden_differences", lambda code, t: frozenset({bits}))
         assert classical_route_corrects(broken_toy, 1) == verdict
+
+
+def test_classical_route_reads_the_induced_error_set_once(monkeypatch, broken_toy):
+    """Its shifts are forbidden_differences at min(t, n), read in one call."""
+    calls = []
+
+    def recording(code, max_error_weight):
+        calls.append((code, max_error_weight))
+        return induction.forbidden_differences(code, max_error_weight)
+
+    monkeypatch.setattr(verify, "forbidden_differences", recording)
+    for code, t in ((broken_toy, 1), (broken_toy, 9), (new_code(ring_graph(5), 1, [0, 3]), 2)):
+        calls.clear()
+        classical_route_corrects(code, t)
+        assert calls == [(code, min(t, code.n))]
 
 
 def test_classical_route_builds_no_operator_per_error(monkeypatch):
